@@ -2,7 +2,8 @@
 
 .PHONY: all build test check static-check lint-smoke bench-smoke \
   perf-smoke degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
-  engine-matrix chaos-smoke analyze-smoke sca-smoke serve-smoke clean
+  engine-matrix chaos-smoke analyze-smoke sca-smoke serve-smoke \
+  flake-check clean
 
 all: build
 
@@ -11,6 +12,18 @@ build:
 
 test:
 	dune runtest
+
+# Re-run the whole test suite FLAKE_RUNS times (default 20), stopping at
+# the first failing run and printing its tail: catches timing- and
+# core-count-dependent failures that a single run can miss.
+FLAKE_RUNS ?= 20
+flake-check: build
+	@for i in `seq 1 $(FLAKE_RUNS)`; do \
+	  out=`dune test --force 2>&1` || \
+	    { echo "$$out" | tail -40; \
+	      echo "flake-check: run $$i of $(FLAKE_RUNS) failed"; exit 1; }; \
+	  echo "flake-check: run $$i of $(FLAKE_RUNS) OK"; \
+	done; echo "flake-check: OK"
 
 # Full local gate: compile everything (all warnings fatal in dev, see the
 # root dune env stanza), run the test suite, then smoke-run the micro

@@ -259,9 +259,11 @@ module Parallel = struct
     zeros : int array;
     lat1 : int array;
     lat0 : int array;
-    flag : Bytes.t; (* slot has maintained (possibly divergent) planes *)
+    flag : Bytes.t; (* slot is in the group's cone: maintained planes *)
     mark : Bytes.t; (* scratch for boundary dedup in [make_group] *)
-    ov : ov option array; (* per gate; populated per group, then cleared *)
+    stack : int array; (* cone walk stack, then array-building scratch *)
+    ff_pos : int array; (* flip-flop -> position in the group's cone_ffs *)
+    ov : ov option array; (* per gate; filled, then cleared, by [make_group] *)
   }
 
   let ctx (cc : Compiled.t) =
@@ -273,6 +275,8 @@ module Parallel = struct
       lat0 = Array.make (max 1 cc.Compiled.n_ffs) 0;
       flag = Bytes.make (cc.Compiled.n_slots + 1) '\000';
       mark = Bytes.make (cc.Compiled.n_slots + 1) '\000';
+      stack = Array.make (cc.Compiled.n_slots + 1) 0;
+      ff_pos = Array.make (max 1 cc.Compiled.n_ffs) 0;
       ov = Array.make (max 1 cc.Compiled.n_gates) None;
     }
 
@@ -281,36 +285,46 @@ module Parallel = struct
     full : int;
     stems0 : (int * int * int) array; (* level-0 stem slot, m1, m0 *)
     ff_ov : (int * int * int) list; (* position in cone_ffs, m1, m0 *)
+    ovs : (int * ov) array; (* override gates by cone_gates position *)
     cone_gates : int array; (* ascending = levelized *)
     cone_ffs : int array;
     boundary : int array; (* out-of-cone slots the sweep/tick read *)
     obs : int array; (* observed slots with maintained planes *)
   }
 
+  (* The first [n] entries of [ctx.stack] as a fresh array. *)
+  let take ctx n = Array.sub ctx.stack 0 n
+
+  (* Adds masks to the entry for [key], merging lanes that share it. *)
+  let rec add_masks key m1 m0 = function
+    | [] -> [ (key, m1, m0) ]
+    | (k, a1, a0) :: tl when k = key -> (k, a1 lor m1, a0 lor m0) :: tl
+    | e :: tl -> e :: add_masks key m1 m0 tl
+
   let make_group ctx ~obs_all faults =
     let cc = ctx.cc in
     let w = Array.length faults in
     assert (w > 0 && w <= max_group);
     let full = (1 lsl w) - 1 in
-    let seeds = Array.map (fun f -> cc.Compiled.perm.(Fault.seed f)) faults in
-    let cone = Compiled.cone_slots cc ~seeds in
-    let gl = ref [] and fl = ref [] in
-    Array.iter
-      (fun s ->
-        let k = Compiled.slot_gate cc s in
-        if k >= 0 then gl := k :: !gl
-        else if cc.Compiled.ff_of_slot.(s) >= 0 then
-          fl := cc.Compiled.ff_of_slot.(s) :: !fl)
-      cone;
-    let cone_gates = Array.of_list (List.rev !gl) in
-    let cone_ffs = Array.of_list (List.rev !fl) in
-    let ff_pos k =
-      let p = ref (-1) in
-      Array.iteri (fun j f -> if f = k then p := j) cone_ffs;
-      assert (!p >= 0);
-      !p
-    in
-    let stems0 = Hashtbl.create 8 in
+    let flag = ctx.flag in
+    (* The cone marks exactly the maintained slots: cone gates (written by
+       the sweep), cone flip-flops (latched; reset to all-X now) and
+       level-0 stem seeds (injected every cycle). *)
+    Compiled.cone_mark cc ~mark:flag ~stack:ctx.stack
+      ~seeds:(Array.map (fun f -> cc.Compiled.perm.(Fault.seed f)) faults);
+    let n = ref 0 in
+    for f = 0 to cc.Compiled.n_ffs - 1 do
+      let s = cc.Compiled.ff_slot.(f) in
+      if Bytes.unsafe_get flag s <> '\000' then begin
+        ctx.ones.(s) <- 0;
+        ctx.zeros.(s) <- 0;
+        ctx.ff_pos.(f) <- !n;
+        ctx.stack.(!n) <- f;
+        incr n
+      end
+    done;
+    let cone_ffs = take ctx !n in
+    let stems0 = ref [] and ff_ov = ref [] in
     let set_ov k f =
       let cur =
         match ctx.ov.(k) with
@@ -319,7 +333,6 @@ module Parallel = struct
       in
       ctx.ov.(k) <- Some (f cur)
     in
-    let ff_ov = ref [] in
     Array.iteri
       (fun lane (fault : Fault.t) ->
         let bit = 1 lsl lane in
@@ -333,58 +346,52 @@ module Parallel = struct
             set_ov k (fun o ->
                 { o with stem_m1 = o.stem_m1 lor m1;
                   stem_m0 = o.stem_m0 lor m0 })
-          else begin
-            let a1, a0 =
-              match Hashtbl.find_opt stems0 s with
-              | Some x -> x
-              | None -> (0, 0)
-            in
-            Hashtbl.replace stems0 s (a1 lor m1, a0 lor m0)
-          end
+          else stems0 := add_masks s m1 m0 !stems0
         | Fault.Branch { node; pin } ->
           let s = cc.Compiled.perm.(node) in
           let k = Compiled.slot_gate cc s in
           if k >= 0 then
-            set_ov k (fun o ->
-                { o with
-                  branch =
-                    (cc.Compiled.fanin_off.(k) + pin, m1, m0) :: o.branch })
-          else ff_ov := (ff_pos cc.Compiled.ff_of_slot.(s), m1, m0) :: !ff_ov)
+            let i = cc.Compiled.fanin_off.(k) + pin in
+            set_ov k (fun o -> { o with branch = add_masks i m1 m0 o.branch })
+          else
+            let j = ctx.ff_pos.(cc.Compiled.ff_of_slot.(s)) in
+            ff_ov := (j, m1, m0) :: !ff_ov)
       faults;
-    (* Maintained planes: cone gates (written by the sweep), cone
-       flip-flops (latched; reset to all-X now) and level-0 stem slots
-       (injected every cycle). *)
-    Array.iter
-      (fun k -> Bytes.set ctx.flag (Compiled.gate_slot cc k) '\001')
-      cone_gates;
-    Array.iter
-      (fun f ->
-        let s = cc.Compiled.ff_slot.(f) in
-        Bytes.set ctx.flag s '\001';
-        ctx.ones.(s) <- 0;
-        ctx.zeros.(s) <- 0)
-      cone_ffs;
-    let stems0_l = ref [] in
-    Hashtbl.iter
-      (fun s (m1, m0) ->
-        Bytes.set ctx.flag s '\001';
+    List.iter
+      (fun (s, _, _) ->
         if cc.Compiled.ff_of_slot.(s) < 0 then begin
           ctx.ones.(s) <- 0;
           ctx.zeros.(s) <- 0
-        end;
-        stems0_l := (s, m1, m0) :: !stems0_l)
-      stems0;
+        end)
+      !stems0;
+    (* Cone gates in ascending (levelized) order; override gates leave
+       their position in the sweep behind. *)
+    n := 0;
+    let ovs = ref [] in
+    for k = 0 to cc.Compiled.n_gates - 1 do
+      if Bytes.unsafe_get flag (Compiled.gate_slot cc k) <> '\000' then begin
+        (match ctx.ov.(k) with
+         | Some o ->
+           ovs := (!n, o) :: !ovs;
+           ctx.ov.(k) <- None
+         | None -> ());
+        ctx.stack.(!n) <- k;
+        incr n
+      end
+    done;
+    let cone_gates = take ctx !n in
     (* The read boundary: slots without maintained planes that the gate
        loop (side fanins of cone gates) or [tick] (unmaintained
        flip-flop data) will read. [sweep] materializes their broadcast
        good planes once per cycle so the hot loop runs on direct array
        indexing with no reader closure per fanin. *)
-    let bl = ref [] in
+    n := 0;
     let add s =
       if Bytes.get ctx.flag s = '\000' && Bytes.get ctx.mark s = '\000'
       then begin
         Bytes.set ctx.mark s '\001';
-        bl := s :: !bl
+        ctx.stack.(!n) <- s;
+        incr n
       end
     in
     Array.iter
@@ -395,7 +402,7 @@ module Parallel = struct
         done)
       cone_gates;
     Array.iter (fun k -> add cc.Compiled.ff_data.(k)) cone_ffs;
-    let boundary = Array.of_list !bl in
+    let boundary = take ctx !n in
     Array.iter (fun s -> Bytes.set ctx.mark s '\000') boundary;
     let obs =
       Array.of_list
@@ -403,14 +410,13 @@ module Parallel = struct
            (fun o -> Bytes.get ctx.flag o <> '\000')
            (Array.to_list obs_all))
     in
-    { w; full; stems0 = Array.of_list !stems0_l; ff_ov = !ff_ov;
-      cone_gates; cone_ffs; boundary; obs }
+    { w; full; stems0 = Array.of_list !stems0; ff_ov = !ff_ov;
+      ovs = Array.of_list (List.rev !ovs); cone_gates; cone_ffs; boundary;
+      obs }
 
   let drop_group ctx g =
     Array.iter
-      (fun k ->
-        Bytes.set ctx.flag (Compiled.gate_slot ctx.cc k) '\000';
-        ctx.ov.(k) <- None)
+      (fun k -> Bytes.set ctx.flag (Compiled.gate_slot ctx.cc k) '\000')
       g.cone_gates;
     Array.iter
       (fun f -> Bytes.set ctx.flag ctx.cc.Compiled.ff_slot.(f) '\000')
@@ -421,12 +427,32 @@ module Parallel = struct
     let keep = lnot (m1 lor m0) in
     ((b1 land keep) lor m1, (b0 land keep) lor m0)
 
+  (* Override gate [k] through the per-gate reader path: branch masks on
+     its pin reads, stem masks on its output. *)
+  let eval_override (cc : Compiled.t) ~full ~ones ~zeros k o =
+    let fanin = cc.Compiled.fanin in
+    let read i =
+      let f = Array.unsafe_get fanin i in
+      List.fold_left
+        (fun acc (idx, m1, m0) -> if idx = i then merge ~m1 ~m0 acc else acc)
+        (Array.unsafe_get ones f, Array.unsafe_get zeros f)
+        o.branch
+    in
+    let v1, v0 =
+      merge ~m1:o.stem_m1 ~m0:o.stem_m0
+        (Compiled.Planes.eval_gate_via cc ~full ~read k)
+    in
+    let s = Compiled.gate_slot cc k in
+    ones.(s) <- v1;
+    zeros.(s) <- v0
+
   (* One cycle's cone sweep. [g1 slot]/[g0 slot] supply the broadcast
      ones/zeros planes of a slot with no maintained planes — the shared
      good trace row here, the packed good planes in the pattern path.
      They are only called on the precomputed read boundary, materialized
-     into the plane arrays up front; the gate loop itself runs on direct
-     array indexing with no closure call per fanin. *)
+     into the plane arrays up front. The cone gates then run on the fused
+     plane kernel, split at each override gate, which alone takes the
+     reader path. *)
   let sweep ctx g ~g1 ~g0 =
     let cc = ctx.cc in
     let ones = ctx.ones and zeros = ctx.zeros in
@@ -448,33 +474,15 @@ module Parallel = struct
         ones.(s) <- (b1 land keep) lor m1;
         zeros.(s) <- (b0 land keep) lor m0)
       g.stems0;
-    let res1 = ref 0 and res0 = ref 0 in
-    let ng = Array.length g.cone_gates in
-    for j = 0 to ng - 1 do
-      let k = Array.unsafe_get g.cone_gates j in
-      (match Array.unsafe_get ctx.ov k with
-       | None ->
-         Compiled.Planes.eval_gate_into cc ~full ~ones ~zeros k ~res1 ~res0
-       | Some o ->
-         (* Rare: a gate carrying stem/branch overrides takes the boxed
-            path. *)
-         let fanin = cc.Compiled.fanin in
-         let read i =
-           let f = Array.unsafe_get fanin i in
-           List.fold_left
-             (fun acc (idx, m1, m0) ->
-               if idx = i then merge ~m1 ~m0 acc else acc)
-             (Array.unsafe_get ones f, Array.unsafe_get zeros f)
-             o.branch
-         in
-         let v = Compiled.Planes.eval_gate_via cc ~full ~read k in
-         let v1, v0 = merge ~m1:o.stem_m1 ~m0:o.stem_m0 v in
-         res1 := v1;
-         res0 := v0);
-      let s = cc.Compiled.n_level0 + k in
-      Array.unsafe_set ones s !res1;
-      Array.unsafe_set zeros s !res0
-    done
+    let lo = ref 0 in
+    Array.iter
+      (fun (j, o) ->
+        Compiled.Planes.sweep cc ~full ~ones ~zeros g.cone_gates ~lo:!lo ~hi:j;
+        eval_override cc ~full ~ones ~zeros g.cone_gates.(j) o;
+        lo := j + 1)
+      g.ovs;
+    Compiled.Planes.sweep cc ~full ~ones ~zeros g.cone_gates ~lo:!lo
+      ~hi:(Array.length g.cone_gates)
 
   (* Clock the cone flip-flops: latch all, apply branch overrides, then
      publish simultaneously. Unmaintained data slots are in the read
@@ -1081,7 +1089,7 @@ module Engine = struct
        for tiny cones — [(c_event_cycle + c_event * cone) * cycles].
      - parallel: a 62-lane group sweeps the {e union} cone of its
        members once per cycle; a plane gate eval costs several scalar
-       ones (override lookups, flag checks, two-rail ops), and grouping
+       ones (two-rail ops, read-boundary materialization), and grouping
        by seed slot keeps the union within a small multiple of a member
        cone — per group
        [c_plane * min (n_gates, union_inflation * cone) * cycles].

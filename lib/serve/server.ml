@@ -18,14 +18,18 @@ type conn = {
   mutable alive : bool;
 }
 
+(* One frame; the caller holds [conn.wlock]. *)
+let write_line conn line =
+  if conn.alive then
+    try
+      output_string conn.oc line;
+      output_char conn.oc '\n';
+      flush conn.oc
+    with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false
+
 let send_line conn line =
   Mutex.lock conn.wlock;
-  (if conn.alive then
-     try
-       output_string conn.oc line;
-       output_char conn.oc '\n';
-       flush conn.oc
-     with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false);
+  write_line conn line;
   Mutex.unlock conn.wlock
 
 let send conn json = send_line conn (Json.to_string json)
@@ -40,6 +44,7 @@ type job = {
   mutable budget : Budget.t option;  (* set while running; cancellable *)
   mutable cancel_requested : bool;
   mutable subscriber : conn option;  (* streams events when [wait] *)
+  mutable result_sent : bool;  (* final frame written; under [wlock] *)
   mutable started_at : float;
 }
 
@@ -291,7 +296,11 @@ let finish t job response terminal =
       ("state", Json.String (Protocol.state_to_string job.state));
     ];
   match subscriber with
-  | Some conn when job.submit.Protocol.wait -> send conn response
+  | Some conn when job.submit.Protocol.wait ->
+    Mutex.lock conn.wlock;
+    job.result_sent <- true;
+    write_line conn (Json.to_string response);
+    Mutex.unlock conn.wlock
   | _ -> ()
 
 let rec worker_loop t =
@@ -353,6 +362,7 @@ let handle_submit t conn (s : Protocol.submit) =
               budget = None;
               cancel_requested = false;
               subscriber = (if s.Protocol.wait then Some conn else None);
+              result_sent = false;
               started_at = Clock.now ();
             }
           in
@@ -540,35 +550,45 @@ let serve_conn t fd =
 
 (* --- heartbeats --------------------------------------------------------- *)
 
+(* The snapshot of running jobs is taken under [t.lock] but the frames
+   go out after it is released, so a job may finish and send its result
+   in between. A heartbeat after the result frame would be read as the
+   reply to the connection's next request; each one is therefore
+   re-checked under the write lock that also serializes the result
+   frame, and dropped once the job is no longer running. *)
+let send_heartbeat t (job, conn) =
+  let frame =
+    Json.to_string
+      (Protocol.heartbeat ~job:job.id ~state:Protocol.Running
+         ~elapsed_s:(Clock.now () -. job.started_at))
+  in
+  Mutex.lock conn.wlock;
+  if
+    (not job.result_sent)
+    && locked t (fun () -> job.state = Protocol.Running)
+  then write_line conn frame;
+  Mutex.unlock conn.wlock
+
 let rec heartbeat_loop t =
   Thread.delay t.hb_interval;
-  let stop =
-    let running =
-      locked t (fun () ->
-          if t.stop then None
-          else
-            Some
-              (Hashtbl.fold
-                 (fun _ job acc ->
-                   match (job.state, job.subscriber) with
-                   | Protocol.Running, Some conn when job.submit.Protocol.wait
-                     ->
-                     (job.id, job.started_at, conn) :: acc
-                   | _ -> acc)
-                 t.jobs []))
-    in
-    match running with
-    | None -> true
-    | Some jobs ->
-      List.iter
-        (fun (id, started, conn) ->
-          send conn
-            (Protocol.heartbeat ~job:id ~state:Protocol.Running
-               ~elapsed_s:(Clock.now () -. started)))
-        jobs;
-      false
+  let running =
+    locked t (fun () ->
+        if t.stop then None
+        else
+          Some
+            (Hashtbl.fold
+               (fun _ job acc ->
+                 match (job.state, job.subscriber) with
+                 | Protocol.Running, Some conn when job.submit.Protocol.wait ->
+                   (job, conn) :: acc
+                 | _ -> acc)
+               t.jobs []))
   in
-  if not stop then heartbeat_loop t
+  match running with
+  | None -> ()
+  | Some jobs ->
+    List.iter (send_heartbeat t) jobs;
+    heartbeat_loop t
 
 (* --- listener ----------------------------------------------------------- *)
 

@@ -50,6 +50,7 @@ type t = {
   fanout_off : int array;
   fanout : int array;
   init : Bytes.t;
+  all_gates : int array;
 }
 
 let opcode = function
@@ -195,6 +196,7 @@ let of_circuit (c : Circuit.t) =
     fanout_off;
     fanout;
     init;
+    all_gates = Array.init n_gates Fun.id;
   }
 
 (* ---- compiled stimuli -------------------------------------------------- *)
@@ -323,41 +325,28 @@ let trace cc (stim : cstim) =
 (* ---- static cones in slot space ---------------------------------------- *)
 
 (* Everything reachable from [seeds] through the fanout CSR — crossing
-   flip-flop boundaries — sorted ascending (i.e. levelized). This is the
-   union soundness envelope of a packed fault group: slots outside it can
-   never diverge from the good trace. *)
-let cone_slots cc ~seeds =
-  let seen = Bytes.make cc.n_slots '\000' in
-  let stack = ref [] in
-  let count = ref 0 in
-  Array.iter
-    (fun s ->
-      if Bytes.get seen s = '\000' then begin
-        Bytes.set seen s '\001';
-        incr count;
-        stack := s :: !stack
-      end)
-    seeds;
-  let acc = ref [] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-      stack := rest;
-      acc := s :: !acc;
-      let lo = cc.fanout_off.(s) and hi = cc.fanout_off.(s + 1) in
-      for i = lo to hi - 1 do
-        let d = cc.fanout.(i) in
-        if Bytes.get seen d = '\000' then begin
-          Bytes.set seen d '\001';
-          incr count;
-          stack := d :: !stack
-        end
-      done
-  done;
-  let a = Array.of_list !acc in
-  Array.sort Int.compare a;
-  a
+   flip-flop boundaries — marked in [mark]. This is the union soundness
+   envelope of a packed fault group: slots outside it can never diverge
+   from the good trace. The caller owns both buffers and reads the cone
+   back in ascending (levelized) order by scanning [mark], which costs
+   less than building and sorting a slot list per group. *)
+let cone_mark cc ~mark ~stack ~seeds =
+  let sp = ref 0 in
+  let visit s =
+    if Bytes.unsafe_get mark s = '\000' then begin
+      Bytes.unsafe_set mark s '\001';
+      stack.(!sp) <- s;
+      incr sp
+    end
+  in
+  Array.iter visit seeds;
+  while !sp > 0 do
+    decr sp;
+    let s = stack.(!sp) in
+    for i = cc.fanout_off.(s) to cc.fanout_off.(s + 1) - 1 do
+      visit (Array.unsafe_get cc.fanout i)
+    done
+  done
 
 (* ---- bit-plane kernel (pattern- and fault-parallel packing) ------------ *)
 
@@ -394,8 +383,9 @@ module Planes = struct
     else (0, 0)
 
   (* Plane evaluation of gate [k] reading fanins through [read]
-     (pool index -> (ones, zeros)); shared by the full sweep here and the
-     cone-clipped group kernel in [Fst_fsim]. *)
+     (pool index -> (ones, zeros)); the fault-group kernel in [Fst_fsim]
+     takes this path on the few gates carrying stem or branch
+     overrides. *)
   let eval_gate_via cc ~full ~read k =
     let o = cc.fanin_off.(k) and o_hi = cc.fanin_off.(k + 1) in
     match cc.gate_op.(k) with
@@ -430,84 +420,65 @@ module Planes = struct
       let po, pz = read o in
       (pz, po)
 
-  (* Allocation-free direct variant of [eval_gate_via] for hot sweeps:
-     fanin planes are read straight out of the full-length [ones]/[zeros]
-     slot arrays — no reader closure per fanin (an indirect call the
-     compiler cannot inline) and no tuple per read (a minor-heap block
-     each). Cone-clipped callers materialize the cone's out-of-cone
-     boundary slots into the arrays once per cycle first, which is what
-     lets every fanin read collapse to two array loads. *)
-  let eval_gate_into cc ~full ~ones ~zeros k ~res1 ~res0 =
-    let fanin = cc.fanin in
-    let o = cc.fanin_off.(k) and o_hi = cc.fanin_off.(k + 1) in
-    match cc.gate_op.(k) with
-    | 0 | 1 ->
-      let one = ref full and zero = ref 0 in
-      for i = o to o_hi - 1 do
-        let f = Array.unsafe_get fanin i in
-        one := !one land Array.unsafe_get ones f;
-        zero := !zero lor Array.unsafe_get zeros f
-      done;
-      if cc.gate_op.(k) = 0 then begin
-        res1 := !one;
-        res0 := !zero
+  (* The one plane kernel: a levelized sweep over [gates.(lo .. hi-1)]
+     with every opcode evaluated inline. Fanin planes are read straight
+     out of the full-length [ones]/[zeros] slot arrays and the two
+     accumulators are local mutables, so a gate costs its fanin loads and
+     word ops only — no call, no reader closure, no boxed pair. Callers
+     with overrides (the fault-group kernel in [Fst_fsim]) split the
+     sweep at each overridden gate and evaluate that one through
+     [eval_gate_via]; cone-clipped callers materialize every out-of-cone
+     slot the gates read into the arrays first. *)
+  let sweep cc ~full ~ones ~zeros (gates : int array) ~lo ~hi =
+    let op = cc.gate_op and off = cc.fanin_off and fanin = cc.fanin in
+    let base = cc.n_level0 in
+    for j = lo to hi - 1 do
+      let k = Array.unsafe_get gates j in
+      let o = Array.unsafe_get off k and o_hi = Array.unsafe_get off (k + 1) in
+      let opk = Array.unsafe_get op k in
+      let one = ref 0 and zero = ref 0 in
+      (match opk lsr 1 with
+       | 0 ->
+         one := full;
+         for i = o to o_hi - 1 do
+           let f = Array.unsafe_get fanin i in
+           one := !one land Array.unsafe_get ones f;
+           zero := !zero lor Array.unsafe_get zeros f
+         done
+       | 1 ->
+         zero := full;
+         for i = o to o_hi - 1 do
+           let f = Array.unsafe_get fanin i in
+           one := !one lor Array.unsafe_get ones f;
+           zero := !zero land Array.unsafe_get zeros f
+         done
+       | 2 ->
+         zero := full;
+         for i = o to o_hi - 1 do
+           let f = Array.unsafe_get fanin i in
+           let po = Array.unsafe_get ones f and pz = Array.unsafe_get zeros f in
+           let o' = (!one land pz) lor (!zero land po) in
+           zero := (!one land po) lor (!zero land pz);
+           one := o'
+         done
+       | _ ->
+         let f = Array.unsafe_get fanin o in
+         one := Array.unsafe_get ones f;
+         zero := Array.unsafe_get zeros f);
+      let s = base + k in
+      if opk land 1 = 0 then begin
+        Array.unsafe_set ones s !one;
+        Array.unsafe_set zeros s !zero
       end
       else begin
-        res1 := !zero;
-        res0 := !one
+        Array.unsafe_set ones s !zero;
+        Array.unsafe_set zeros s !one
       end
-    | 2 | 3 ->
-      let one = ref 0 and zero = ref full in
-      for i = o to o_hi - 1 do
-        let f = Array.unsafe_get fanin i in
-        one := !one lor Array.unsafe_get ones f;
-        zero := !zero land Array.unsafe_get zeros f
-      done;
-      if cc.gate_op.(k) = 2 then begin
-        res1 := !one;
-        res0 := !zero
-      end
-      else begin
-        res1 := !zero;
-        res0 := !one
-      end
-    | 4 | 5 ->
-      let one = ref 0 and zero = ref full in
-      for i = o to o_hi - 1 do
-        let f = Array.unsafe_get fanin i in
-        let po = Array.unsafe_get ones f
-        and pz = Array.unsafe_get zeros f in
-        let o' = (!one land pz) lor (!zero land po) in
-        let z' = (!one land po) lor (!zero land pz) in
-        one := o';
-        zero := z'
-      done;
-      if cc.gate_op.(k) = 4 then begin
-        res1 := !one;
-        res0 := !zero
-      end
-      else begin
-        res1 := !zero;
-        res0 := !one
-      end
-    | 6 ->
-      let f = Array.unsafe_get fanin o in
-      res1 := Array.unsafe_get ones f;
-      res0 := Array.unsafe_get zeros f
-    | _ ->
-      let f = Array.unsafe_get fanin o in
-      res1 := Array.unsafe_get zeros f;
-      res0 := Array.unsafe_get ones f
+    done
 
   let eval cc pv =
-    let ones = pv.ones and zeros = pv.zeros in
-    let res1 = ref 0 and res0 = ref 0 in
-    for k = 0 to cc.n_gates - 1 do
-      eval_gate_into cc ~full:pv.full ~ones ~zeros k ~res1 ~res0;
-      let s = cc.n_level0 + k in
-      Array.unsafe_set ones s !res1;
-      Array.unsafe_set zeros s !res0
-    done
+    sweep cc ~full:pv.full ~ones:pv.ones ~zeros:pv.zeros cc.all_gates ~lo:0
+      ~hi:cc.n_gates
 
   let clock cc pv ~l1 ~l0 =
     let data = cc.ff_data and slot = cc.ff_slot in

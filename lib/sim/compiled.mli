@@ -44,6 +44,7 @@ type t = private {
   fanout : int array;  (** flattened consumer slots of all slots *)
   init : Bytes.t;
       (** power-on vector: constants set, everything else [V3b.x] *)
+  all_gates : int array;  (** [0 .. n_gates-1]: the full-netlist sweep *)
 }
 
 val of_circuit : Circuit.t -> t
@@ -101,11 +102,16 @@ val trace : t -> cstim -> Bytes.t array
 
 (** {2 Static cones}
 
-    [cone_slots cc ~seeds] is every slot reachable from [seeds] through
-    the fanout CSR (crossing flip-flop boundaries), sorted ascending —
-    i.e. levelized. Slots outside it can never diverge from the good
-    machine under a fault whose effect enters at [seeds]. *)
-val cone_slots : t -> seeds:int array -> int array
+    [cone_mark cc ~mark ~stack ~seeds] sets byte [s] of [mark] to 1 for
+    every slot [s] reachable from [seeds] through the fanout CSR
+    (crossing flip-flop boundaries), seeds included. Slots outside it can
+    never diverge from the good machine under a fault whose effect
+    enters at [seeds]. [mark] (length >= [n_slots]) must be clear over
+    the cone on entry — the walk skips slots already marked; [stack] is
+    scratch of length >= [n_slots]. Scanning [mark] in slot order reads
+    the cone back levelized. *)
+val cone_mark :
+  t -> mark:Bytes.t -> stack:int array -> seeds:int array -> unit
 
 (** {2 Bit-plane kernel}
 
@@ -130,24 +136,26 @@ module Planes : sig
   val eval_gate_via :
     t -> full:int -> read:(int -> int * int) -> int -> int * int
 
-  (** Allocation-free direct variant for hot sweeps: gate [k]'s fanin
-      planes are read straight out of the full-length (>= [n_slots + 1])
-      [ones]/[zeros] slot arrays and the result planes land in
-      [res1]/[res0]. The reader closure above costs an uninlinable
-      indirect call plus a boxed pair per fanin read; this one is two
-      array loads. Cone-clipped callers must materialize every
-      out-of-cone slot the gate reads into the arrays first. *)
-  val eval_gate_into :
+  (** [sweep cc ~full ~ones ~zeros gates ~lo ~hi] evaluates gates
+      [gates.(lo) .. gates.(hi-1)] in order (ascending gate indices are
+      levelized), reading fanin planes straight out of the full-length
+      (>= [n_slots + 1]) [ones]/[zeros] slot arrays and writing each
+      gate's output slot. The one plane kernel: {!eval} and the
+      fault-group kernel in [Fst_fsim] both run on it. Cone-clipped
+      callers must materialize every out-of-cone slot the gates read
+      into the arrays first. *)
+  val sweep :
     t ->
     full:int ->
     ones:int array ->
     zeros:int array ->
-    int ->
-    res1:int ref ->
-    res0:int ref ->
+    int array ->
+    lo:int ->
+    hi:int ->
     unit
 
-  (** Full-netlist plane settle (no faults). *)
+  (** Full-netlist plane settle (no faults): [sweep] over
+      [all_gates]. *)
   val eval : t -> vec -> unit
 
   (** Plane clock; [l1]/[l0] are caller scratch of length >= [n_ffs]. *)

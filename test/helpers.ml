@@ -73,6 +73,62 @@ let small_seq_circuit ?(gates = 80) ?(ffs = 8) seed =
   Fst_gen.Gen.generate
     { Fst_gen.Gen.name = Printf.sprintf "t%Ld" seed; gates; ffs; pis = 5; pos = 3; seed }
 
+(* A random sequential circuit exercising every gate opcode, for the
+   plane-kernel properties: the first eight gates are one of each of
+   AND/NAND/OR/NOR/XOR/XNOR/BUF/NOT (multi-input ones with three fanins),
+   later ones random with fanin 2-4. Gate [k]'s first fanin is gate
+   [k-1] (input 0 for gate 0), so input 0's fanout cone holds every gate
+   and every flip-flop. Returns the circuit and its gate nets; [gates]
+   must be a multiple of 8 (every eighth gate is an output). *)
+let all_ops_seq_circuit ?(pis = 4) ?(ffs = 5) ?(gates = 40) seed =
+  let rng = Fst_gen.Rng.create seed in
+  let b = Builder.create ~name:"allops" () in
+  let ins =
+    Array.init pis (fun i -> Builder.add_input ~name:(Printf.sprintf "i%d" i) b)
+  in
+  let ffs =
+    Array.init ffs (fun i ->
+        Builder.add_dff_placeholder ~name:(Printf.sprintf "f%d" i) b)
+  in
+  let ops =
+    [| Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Buf;
+       Gate.Not |]
+  in
+  let pool = ref (Array.to_list ins @ Array.to_list ffs) in
+  let prev = ref ins.(0) in
+  let gs =
+    Array.init gates (fun k ->
+        let g = if k < 8 then ops.(k) else Fst_gen.Rng.pick rng ops in
+        let arity =
+          match g with
+          | Gate.Buf | Gate.Not -> 1
+          | _ -> if k < 8 then 3 else 2 + Fst_gen.Rng.int rng 3
+        in
+        let arr = Array.of_list !pool in
+        let fanins =
+          !prev :: List.init (arity - 1) (fun _ -> Fst_gen.Rng.pick rng arr)
+        in
+        let net = Builder.add_gate ~name:(Printf.sprintf "g%d" k) b g fanins in
+        pool := net :: !pool;
+        prev := net;
+        net)
+  in
+  (* Each flip-flop latches an AND with an input, so a 0 on that input
+     initializes it: without a reset, XOR-heavy feedback would otherwise
+     keep the state X forever and hide every fault. *)
+  Array.iteri
+    (fun i ff ->
+      let data =
+        Builder.add_gate b Gate.And
+          [ ins.(i mod pis); Fst_gen.Rng.pick rng gs ]
+      in
+      Builder.connect_dff b ~ff ~data)
+    ffs;
+  (* Outputs every eighth gate along the chain, so faults deep in it
+     still reach an observation point through few X-prone gates. *)
+  Array.iteri (fun k g -> if k mod 8 = 7 then Builder.mark_output b g) gs;
+  (Builder.freeze b, gs)
+
 (* Exhaustive good/faulty evaluation of a combinational circuit over all
    binary input assignments; returns true if some assignment detects the
    fault at some output. *)

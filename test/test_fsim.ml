@@ -212,6 +212,69 @@ let prop_packed_dropping_agrees =
       = Fsim.Parallel.detect_dropping_packed c ~faults:chosen ~observe
           ~stimuli)
 
+(* The fused plane kernel splits its sweep at override gates; this
+   workload aims faults at them. On an every-opcode circuit (three-input
+   XOR/XNOR included), a few hot gates carry every stem and branch fault
+   of both polarities, every flip-flop data pin carries both branch
+   faults, and input 0's stem faults — whose cone is every gate — sort
+   into the first, full 62-lane group. Stimuli drive X as well as 0/1,
+   so good planes carry X lanes. Every bit-parallel entry point must
+   equal [Serial]. *)
+let prop_parallel_override_gates_agree =
+  Q.Test.make ~name:"bit-parallel agrees with serial on override gates"
+    ~count:25
+    (Q.map Int64.of_int (Q.int_bound 100000))
+    (fun seed ->
+      let c, gates = Helpers.all_ops_seq_circuit ~gates:48 seed in
+      let rng = Fst_gen.Rng.create (Int64.add seed 3L) in
+      let both site =
+        [ { Fault.site; stuck = false }; { Fault.site; stuck = true } ]
+      in
+      let on_gate g =
+        let arity =
+          match c.Circuit.nodes.(g) with
+          | Circuit.Gate (_, fi) -> Array.length fi
+          | _ -> 0
+        in
+        both (Fault.Stem g)
+        @ List.concat
+            (List.init arity (fun pin ->
+                 both (Fault.Branch { node = g; pin })))
+      in
+      let hot = List.init 5 (fun _ -> Fst_gen.Rng.pick rng gates) in
+      let ff_pins =
+        Array.to_list c.Circuit.dffs
+        |> List.concat_map (fun node -> both (Fault.Branch { node; pin = 0 }))
+      in
+      let universe = Fault.universe c in
+      let faults =
+        Array.of_list
+          (both (Fault.Stem c.Circuit.inputs.(0))
+          @ List.concat_map on_gate hot
+          @ ff_pins
+          @ List.init 40 (fun _ -> Fst_gen.Rng.pick rng universe))
+      in
+      let observe = c.Circuit.outputs in
+      let block len =
+        Array.init len (fun _ ->
+            Array.to_list c.Circuit.inputs
+            |> List.map (fun pi ->
+                   ( pi,
+                     match Fst_gen.Rng.int rng 8 with
+                     | 0 -> V3.X
+                     | 1 | 2 | 3 -> V3.Zero
+                     | _ -> V3.One )))
+      in
+      let stimuli = [ block 12; block 6; block 16 ] in
+      let stim = List.hd stimuli in
+      let ser_drop = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
+      Array.length faults > Fsim.Parallel.max_group
+      && Fsim.Serial.detect_all c ~faults ~observe stim
+         = Fsim.Parallel.detect_all c ~faults ~observe stim
+      && ser_drop = Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli
+      && ser_drop
+         = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli)
+
 (* The [`Auto] plan's serial guard: whatever the workload, no decision's
    modeled cost may exceed running the same faults serially, and the
    decisions partition the fault list. Checked on the s38417 suite
@@ -297,6 +360,7 @@ let suite =
     Helpers.qcheck prop_cone_soundness;
     Helpers.qcheck prop_jobs_invariant;
     Helpers.qcheck prop_packed_dropping_agrees;
+    Helpers.qcheck prop_parallel_override_gates_agree;
     Alcotest.test_case "auto plan never beats itself with serial" `Quick
       test_plan_serial_guard;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;

@@ -341,6 +341,61 @@ let test_serve_cancel () =
       | Ok _ | Error _ -> Alcotest.fail "status after cancel failed");
       Client.close c)
 
+(* Streaming submits back to back on one connection, with heartbeats due
+   every 50 ms: the reply to each request must be that request's own —
+   a heartbeat of a finished job must never trail its result frame into
+   the next exchange. Each submit's result carries the job id its ack
+   assigned (ids are sequential on a fresh daemon), and a ping after it
+   must be answered by a pong, not by a stale frame. *)
+let test_serve_streaming_replies_match () =
+  let dir = temp_dir "fst-stream" in
+  let addr = Protocol.Unix_sock (Filename.concat dir "sock") in
+  let server =
+    Server.create ~workers:1 ~jobs_cap:1 ~hb_interval:0.05 ~addr ()
+  in
+  let thread = Server.start server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () ->
+      let c = connect_retry addr in
+      let n = ref 0 in
+      for round = 0 to 1 do
+        for seed = 1 to 30 do
+          let netlist =
+            Fst_netlist.Netfile.to_string
+              (Helpers.small_seq_circuit ~gates:60 ~ffs:4 (Int64.of_int seed))
+          in
+          let submit =
+            {
+              Protocol.kind = Protocol.Flow;
+              netlist;
+              name = Printf.sprintf "s%d" seed;
+              chains = 1;
+              config = quick_config_json;
+              wait = true;
+              tenant = "t1";
+            }
+          in
+          incr n;
+          let what = Printf.sprintf "round %d submit %d" round seed in
+          (match Client.submit c submit with
+          | Ok o ->
+            Alcotest.(check string) (what ^ ": result of its own job")
+              (Printf.sprintf "job-%d" !n) o.Client.job
+          | Error e -> Alcotest.fail (what ^ ": " ^ e));
+          match Client.request c Protocol.Ping with
+          | Ok j ->
+            Alcotest.(check string) (what ^ ": ping answered by pong") "pong"
+              (match Json.member "kind" j with
+              | Some (Json.String k) -> k
+              | _ -> "")
+          | Error e -> Alcotest.fail (what ^ ": ping: " ^ e)
+        done
+      done;
+      Client.close c)
+
 let suite =
   [
     Alcotest.test_case "fingerprint ignores execution knobs" `Quick
@@ -357,4 +412,6 @@ let suite =
     Alcotest.test_case "serve end-to-end with cache hits" `Quick
       test_serve_end_to_end;
     Alcotest.test_case "serve cancel" `Quick test_serve_cancel;
+    Alcotest.test_case "serve streaming replies match requests" `Quick
+      test_serve_streaming_replies_match;
   ]

@@ -227,6 +227,47 @@ let prop_packed_trace_matches_scalar =
         blocks;
       !ok)
 
+(* The fused plane sweep agrees with the per-gate reader oracle
+   ([Planes.eval_gate_via]) on every opcode, including three-input
+   XOR/XNOR, for random lane counts and random 0/1/X level-0 lanes. *)
+let prop_plane_sweep_matches_per_gate =
+  Q.Test.make ~name:"fused plane sweep matches per-gate oracle" ~count:40
+    (Q.map Int64.of_int (Q.int_bound 1000000))
+    (fun seed ->
+      let c, _ = Helpers.all_ops_seq_circuit seed in
+      let cc = Compiled.of_circuit c in
+      let rng = Fst_gen.Rng.create (Int64.add seed 5L) in
+      let lanes = 1 + Fst_gen.Rng.int rng Compiled.Planes.max_lanes in
+      let pv = Compiled.Planes.make cc ~lanes in
+      for s = 0 to cc.Compiled.n_level0 - 1 do
+        for b = 0 to lanes - 1 do
+          let code =
+            match Fst_gen.Rng.int rng 3 with
+            | 0 -> V3b.zero
+            | 1 -> V3b.one
+            | _ -> V3b.x
+          in
+          Compiled.Planes.set_lane pv s code ~bit:(1 lsl b)
+        done
+      done;
+      let ones = Array.copy pv.Compiled.Planes.ones in
+      let zeros = Array.copy pv.Compiled.Planes.zeros in
+      for k = 0 to cc.Compiled.n_gates - 1 do
+        let read i =
+          let f = cc.Compiled.fanin.(i) in
+          (ones.(f), zeros.(f))
+        in
+        let v1, v0 =
+          Compiled.Planes.eval_gate_via cc ~full:pv.Compiled.Planes.full ~read
+            k
+        in
+        let s = Compiled.gate_slot cc k in
+        ones.(s) <- v1;
+        zeros.(s) <- v0
+      done;
+      Compiled.Planes.eval cc pv;
+      ones = pv.Compiled.Planes.ones && zeros = pv.Compiled.Planes.zeros)
+
 let test_event_sim_activity () =
   (* A stable circuit processes no events once settled. *)
   let c, si, _ = shift3 () in
@@ -244,6 +285,7 @@ let suite =
     Helpers.qcheck prop_event_sim_equivalent;
     Helpers.qcheck prop_compiled_equals_interpreted;
     Helpers.qcheck prop_packed_trace_matches_scalar;
+    Helpers.qcheck prop_plane_sweep_matches_per_gate;
     Alcotest.test_case "event-driven activity" `Quick test_event_sim_activity;
     Alcotest.test_case "comb eval" `Quick test_comb_eval;
     Alcotest.test_case "const nets" `Quick test_const_nets;
