@@ -2,7 +2,7 @@
 
 .PHONY: all build test check static-check lint-smoke bench-smoke \
   perf-smoke degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
-  engine-matrix chaos-smoke analyze-smoke sca-smoke serve-smoke \
+  engine-matrix chaos-smoke analyze-smoke sca-smoke serve-smoke atpg-golden \
   flake-check clean
 
 all: build
@@ -32,7 +32,7 @@ flake-check: build
 # and observability CLI paths.
 check: static-check build test lint-smoke bench-smoke perf-smoke \
   degradation-smoke resume-smoke obs-smoke noop-sink-smoke engine-matrix \
-  chaos-smoke analyze-smoke sca-smoke serve-smoke
+  chaos-smoke analyze-smoke sca-smoke serve-smoke atpg-golden
 
 # Type-check every library and executable (including ones @default would
 # skip); the dev env stanza promotes warnings to errors.
@@ -279,6 +279,26 @@ serve-smoke: build
 	wait $$pid || { echo "serve-smoke: daemon exited non-zero"; \
 	  rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "serve-smoke: OK"
+
+# The jobs=1 flow report (timing lines filtered) must match the recorded
+# golden report byte for byte, every PODEM and seq ATPG counter included:
+# an ATPG engine change that alters a single search choice shows up here.
+# Regenerate a golden file only for an intended change of results.
+GOLDEN_FLOWS := counter4:examples/data/counter4.net \
+  gray3:examples/data/gray3.net \
+  s1423-0.25:-n_s1423_--scale_0.25
+atpg-golden: build
+	@tmp=`mktemp -d`; \
+	for g in $(GOLDEN_FLOWS); do \
+	  name=$${g%%:*}; args=`echo $${g#*:} | tr _ ' '`; \
+	  $(FST_EXE) flow $$args -j 1 | grep -v "CPU" > $$tmp/$$name.txt || \
+	    { echo "atpg-golden: flow $$args failed"; rm -rf $$tmp; exit 1; }; \
+	  diff test/golden/$$name.txt $$tmp/$$name.txt || \
+	    { echo "atpg-golden: $$name report differs from test/golden"; \
+	      rm -rf $$tmp; exit 1; }; \
+	  echo "atpg-golden: $$name identical"; \
+	done; \
+	rm -rf $$tmp; echo "atpg-golden: OK"
 
 clean:
 	dune clean

@@ -570,12 +570,12 @@ let ablate_compact () =
   let view =
     View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints ()
   in
-  let scoap = Fst_testability.Scoap.compute view in
+  let model = Fst_atpg.Podem.model view in
   let blocks = ref [] in
   Array.iter
     (fun i ->
       match
-        Fst_atpg.Podem.run ~backtrack_limit:200 ~scoap view
+        Fst_atpg.Podem.run ~backtrack_limit:200 ~model view
           ~faults:[ faults.(i) ]
       with
       | Fst_atpg.Podem.Test assignment, _ ->
@@ -1189,14 +1189,14 @@ let sca_bench () =
         List.iter
           (fun (u : Sca.untestable) -> Hashtbl.replace proven u.Sca.fault ())
           t.Sca.untestable;
-        let scoap = Fst_testability.Scoap.compute view in
+        let model = Fst_atpg.Podem.model view in
         (* Baseline: one plain PODEM run per hard fault; its Untestable
            verdicts are the denominator of the prune ratio. *)
         let podem_untestable = ref 0 and backtracks_plain = ref 0 in
         Array.iter
           (fun f ->
             let result, stats =
-              Fst_atpg.Podem.run ~backtrack_limit ~scoap view ~faults:[ f ]
+              Fst_atpg.Podem.run ~backtrack_limit ~model view ~faults:[ f ]
             in
             backtracks_plain :=
               !backtracks_plain + stats.Fst_atpg.Podem.backtracks;
@@ -1212,7 +1212,7 @@ let sca_bench () =
           (fun f ->
             if not (Hashtbl.mem proven f) then begin
               let _, stats =
-                Fst_atpg.Podem.run ~backtrack_limit ~scoap
+                Fst_atpg.Podem.run ~backtrack_limit ~model
                   ~impossible:(Sca.impossible t) view ~faults:[ f ]
               in
               backtracks_pruned :=
@@ -1300,6 +1300,40 @@ let sca_bench () =
 (* Bechamel micro-benchmarks of the per-table kernels.                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One step-3 target: the first hard fault with its chain window as the
+   flip-flop bounds (as the flow derives them), or [fallback] with every
+   flip-flop controllable and observable when the circuit has no hard
+   fault. *)
+let seq_target prep faults ~fallback =
+  let cls = Classify.run prep.scanned prep.config faults in
+  if Array.length cls.Classify.hard = 0 then
+    (fallback, (fun _ -> true), fun _ -> true)
+  else begin
+    let info = cls.Classify.infos.(cls.Classify.hard.(0)) in
+    let locations =
+      List.map (fun (c, s, _) -> (c, s)) info.Classify.locations
+    in
+    let bounds = (Group.footprint_of ~index:0 ~locations).Group.spans in
+    let positions = Hashtbl.create 64 in
+    Array.iter
+      (fun ch ->
+        Array.iteri
+          (fun pos ff -> Hashtbl.replace positions ff (ch.Scan.index, pos))
+          ch.Scan.ffs)
+      prep.config.Scan.chains;
+    let window pick ff =
+      match Hashtbl.find_opt positions ff with
+      | None -> false
+      | Some (chain, pos) -> (
+        match List.assoc_opt chain bounds with
+        | None -> true
+        | Some b -> pick pos b)
+    in
+    ( info.Classify.fault,
+      window (fun pos (m, _) -> pos < m),
+      window (fun pos (_, o) -> pos >= o) )
+  end
+
 let micro () =
   let open Bechamel in
   let prep = prepare (Fst_gen.Suite.find ~scale:(min scale 0.1) "s1423") in
@@ -1312,7 +1346,34 @@ let micro () =
   let view =
     View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints ()
   in
-  let scoap = Fst_testability.Scoap.compute view in
+  let model = Fst_atpg.Podem.model view in
+  (* Step 3's search on its shared model: one Seq run on the target's
+     2-frame unrolled model (built once, outside the measurement). *)
+  let seq_fault, controllable_ff, observable_ff =
+    seq_target prep faults ~fallback:some_fault
+  in
+  let seq_frames = 2 and seq_backtrack = 200 in
+  let constraints = prep.config.Scan.constraints in
+  let seq_models =
+    Fst_atpg.Seq.models prep.scanned ~constraints ~controllable_ff
+      ~observable_ff
+  in
+  let seq_run () =
+    Fst_atpg.Seq.run_on seq_models ~fault:seq_fault ~frames_list:[ seq_frames ]
+      ~backtrack_limit:seq_backtrack
+  in
+  ignore (seq_run ());
+  let seq_decisions =
+    let u =
+      Fst_atpg.Unroll.build prep.scanned ~frames:seq_frames ~constraints
+        ~controllable_ff ~observable_ff
+    in
+    let _, st =
+      Fst_atpg.Podem.run ~backtrack_limit:seq_backtrack u.Fst_atpg.Unroll.view
+        ~faults:(Fst_atpg.Unroll.map_fault u seq_fault)
+    in
+    st.Fst_atpg.Podem.decisions
+  in
   let live_sink = Fst_obs.Sink.create ~metrics:(Fst_obs.Metrics.create ()) () in
   let tests =
     [
@@ -1322,8 +1383,10 @@ let micro () =
       Test.make ~name:"table3/podem-one-fault"
         (Staged.stage (fun () ->
              ignore
-               (Fst_atpg.Podem.run ~backtrack_limit:200 ~scoap view
+               (Fst_atpg.Podem.run ~backtrack_limit:200 ~model view
                   ~faults:[ some_fault ])));
+      Test.make ~name:"table3/seq-podem-unrolled"
+        (Staged.stage (fun () -> ignore (seq_run ())));
       Test.make ~name:"table3/fsim-parallel-62"
         (Staged.stage (fun () ->
              ignore
@@ -1390,6 +1453,13 @@ let micro () =
         analysis)
     tests;
   Table.print t;
+  (match List.assoc_opt "table3/seq-podem-unrolled" !estimates with
+   | Some ns when ns > 0.0 ->
+     Printf.printf
+       "\nseq-podem-unrolled: %d PODEM decisions per run, %.0f decisions/s\n"
+       seq_decisions
+       (float_of_int seq_decisions *. 1e9 /. ns)
+   | Some _ | None -> ());
   (match
      ( List.assoc_opt "table3/fsim-parallel-62" !estimates,
        List.assoc_opt "obs/fsim-engine-nullsink-62" !estimates,

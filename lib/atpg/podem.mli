@@ -1,13 +1,15 @@
 (** PODEM test-pattern generation over a combinational
     {!Fst_netlist.View.t}.
 
-    Values are composite good/faulty pairs ({!Fst_logic.Dval.t}); decisions
-    are made only at free inputs, guided by SCOAP backtrace; implication is
-    three-valued resimulation, so it never conflicts and backtracking is
-    driven by objective failure (fault unexcitable, empty D-frontier, no
-    X-path). The search is complete unless a rare multi-site frontier case
-    forces a heuristic prune, in which case exhaustion reports {!Aborted}
-    rather than {!Untestable}. *)
+    Values are two three-valued planes (good machine, faulty machine) over
+    the compiled circuit ({!Fst_sim.Compiled}); decisions are made only at
+    free inputs, guided by SCOAP backtrace; implication is event-driven
+    three-valued resimulation from the inputs whose assignment changed, so
+    it never conflicts and backtracking is driven by objective failure
+    (fault unexcitable, empty D-frontier, no X-path). The search is
+    complete unless a rare multi-site frontier case forces a heuristic
+    prune, in which case exhaustion reports {!Aborted} rather than
+    {!Untestable}. *)
 
 open Fst_logic
 open Fst_netlist
@@ -21,6 +23,15 @@ type result =
   | Aborted  (** backtrack limit exceeded or completeness lost *)
 
 type stats = { backtracks : int; decisions : int; implications : int }
+
+(** The fault-independent part of a search: the compiled circuit, SCOAP,
+    fanout and observation structure of one view. Immutable, so one model
+    serves every fault on that view, from any domain. *)
+type model
+
+(** [model ?scoap view] compiles [view] (SCOAP is computed when not
+    supplied). *)
+val model : ?scoap:Fst_testability.Scoap.t -> View.t -> model
 
 (** [run view ~faults] searches for a test detecting the fault injected at
     all the given sites simultaneously (a multi-site list models the same
@@ -42,12 +53,17 @@ type stats = { backtracks : int; decisions : int; implications : int }
     literal is impossible the fault is reported {!Untestable} with no
     search. Because a [true] answer must be a theorem, pruning preserves
     completeness — but it can steer the search to a {e different} test, so
-    flows that require bit-identical results leave it off. *)
+    flows that require bit-identical results leave it off.
+    @param model the shared model of [view] (built per call when absent,
+    which compiles the circuit; pass it when running many faults on one
+    view). [scoap] is ignored when a model is given. Raises
+    [Invalid_argument] when the model belongs to another view. *)
 val run :
   ?backtrack_limit:int ->
   ?should_abort:(unit -> bool) ->
   ?scoap:Fst_testability.Scoap.t ->
   ?impossible:(int -> V3.t -> bool) ->
+  ?model:model ->
   View.t ->
   faults:Fault.t list ->
   result * stats

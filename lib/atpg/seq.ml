@@ -9,6 +9,32 @@ type test = {
 type result = Seq_test of test | Seq_aborted
 type stats = { runs : int; backtracks : int }
 
+(* The unrolled model and its PODEM model, built on first use per frame
+   count and then shared by every fault run on the same bounds. *)
+type models = {
+  build : int -> Unroll.t;
+  keep : bool;
+  mutable built : (int * (Unroll.t * Podem.model)) list;
+}
+
+let models ?(keep = true) c ~constraints ~controllable_ff ~observable_ff =
+  {
+    build =
+      (fun frames ->
+        Unroll.build c ~frames ~constraints ~controllable_ff ~observable_ff);
+    keep;
+    built = [];
+  }
+
+let model_at ms frames =
+  match List.assoc_opt frames ms.built with
+  | Some um -> um
+  | None ->
+    let u = ms.build frames in
+    let um = (u, Podem.model u.Unroll.view) in
+    if ms.keep then ms.built <- (frames, um) :: ms.built;
+    um
+
 let test_of_assignment u frames assignment =
   let init_state = ref [] in
   let pi_frames = Array.make frames [] in
@@ -20,8 +46,7 @@ let test_of_assignment u frames assignment =
     assignment;
   { frames; init_state = !init_state; pi_frames }
 
-let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
-    ~frames_list ~backtrack_limit =
+let run_on ?should_abort ms ~fault ~frames_list ~backtrack_limit =
   let runs = ref 0 and backtracks = ref 0 in
   let aborting () =
     match should_abort with None -> false | Some f -> f ()
@@ -31,12 +56,12 @@ let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
     | _ :: _ when aborting () ->
       (Seq_aborted, { runs = !runs; backtracks = !backtracks })
     | frames :: rest -> (
-      let u =
-        Unroll.build c ~frames ~constraints ~controllable_ff ~observable_ff
-      in
+      let u, model = model_at ms frames in
       let faults = Unroll.map_fault u fault in
       incr runs;
-      match Podem.run ~backtrack_limit ?should_abort u.Unroll.view ~faults with
+      match
+        Podem.run ~backtrack_limit ?should_abort ~model u.Unroll.view ~faults
+      with
       | Podem.Test assignment, st ->
         backtracks := !backtracks + st.Podem.backtracks;
         ( Seq_test (test_of_assignment u frames assignment),
@@ -46,3 +71,9 @@ let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
         try_frames rest)
   in
   try_frames frames_list
+
+let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
+    ~frames_list ~backtrack_limit =
+  run_on ?should_abort
+    (models ~keep:false c ~constraints ~controllable_ff ~observable_ff)
+    ~fault ~frames_list ~backtrack_limit

@@ -362,7 +362,7 @@ let phase_obs (sink : Sink.t) name f =
 (* --- Step 2: combinational ATPG + sequential fault simulation ---------- *)
 
 let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
-    ~static_flag ~impossible view scoap scanned config ~hard_faults =
+    ~static_flag ~impossible view model scanned config ~hard_faults =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
   let dl = Budget.deadline budget Budget.Step2_atpg in
@@ -388,7 +388,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
              (fun () ->
                Podem.run ~backtrack_limit:cfg.Config.comb_backtrack
                  ~should_abort:(fun () -> Clock.expired dl)
-                 ~scoap ~impossible view ~faults:[ hard_faults.(!i) ])
+                 ~model ~impossible view ~faults:[ hard_faults.(!i) ])
          with
          | Podem.Test assignment, stats ->
            add_podem_stats acct stats;
@@ -690,22 +690,27 @@ let retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults ~stim =
     alive_ids;
   !hits
 
+(* The unrolled models of one group's bounds, shared by all of its
+   targets and dropped with the group ([keep]: see [Seq.models]). *)
+let seq_models ?keep scanned config ~positions bounds =
+  let controllable, observable = predicates_of_bounds positions bounds in
+  Seq.models ?keep scanned ~constraints:config.Scan.constraints
+    ~controllable_ff:controllable ~observable_ff:observable
+
 (* Sequential-ATPG planning for one fault: realize a detecting sequence on
    the bounded model, without touching any shared state (safe to run on a
-   pool domain). [should_abort] folds the per-fault wall-clock deadline
-   with the wave's cancellation token, so one stuck target cannot pin a
-   domain past its budget. *)
-let plan_sequence ~sink scanned config ~remaining_faults ~bounds ~positions
-    ~frames ~backtrack ~should_abort target_idx =
-  let controllable, observable = predicates_of_bounds positions bounds in
+   pool domain that owns [models]). [should_abort] folds the per-fault
+   wall-clock deadline with the wave's cancellation token, so one stuck
+   target cannot pin a domain past its budget. *)
+let plan_sequence ~sink scanned config ~remaining_faults ~models ~frames
+    ~backtrack ~should_abort target_idx =
   let fault = remaining_faults.(target_idx) in
   match
     timed_atpg sink
       (Printf.sprintf "seq[%d]" target_idx)
       (fun () ->
-        Seq.run ~should_abort scanned ~constraints:config.Scan.constraints
-          ~controllable_ff:controllable ~observable_ff:observable ~fault
-          ~frames_list:frames ~backtrack_limit:backtrack)
+        Seq.run_on ~should_abort models ~fault ~frames_list:frames
+          ~backtrack_limit:backtrack)
   with
   | Seq.Seq_aborted, stats -> (None, stats)
   | Seq.Seq_test test, stats ->
@@ -713,7 +718,7 @@ let plan_sequence ~sink scanned config ~remaining_faults ~bounds ~positions
 
 let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
     ~failed_flag ~impossible ~progress ~save_progress scanned config ~classify
-    ~hard_index ~remaining ~view ~scoap =
+    ~hard_index ~remaining ~view ~model =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
   let dl3 = Budget.deadline budget Budget.Step3 in
@@ -878,6 +883,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
       let targets = targets_of group in
       if any_alive targets then begin
         st.group_circuits <- st.group_circuits + 1;
+        let models = seq_models scanned config ~positions bounds in
         Sink.span sink
           ~name:(Printf.sprintf "step3.group%d" group_no)
           ~cat:"step3"
@@ -892,7 +898,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
                   in
                   match
                     plan_sequence ~sink scanned config ~remaining_faults
-                      ~bounds ~positions ~frames:cfg.Config.frames
+                      ~models ~frames:cfg.Config.frames
                       ~backtrack:cfg.Config.seq_backtrack
                       ~should_abort:(fun () -> Clock.expired dlf)
                       i
@@ -936,6 +942,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
       let wave_arr = Array.of_list (List.rev !wave) in
       let snapshot = Hashtbl.copy st.alive in
       let plan_group (bounds, targets) =
+        let models = seq_models scanned config ~positions bounds in
         List.map
           (fun fp ->
             let i = fp.Group.index in
@@ -947,7 +954,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
               in
               match
                 plan_sequence ~sink scanned config ~remaining_faults
-                  ~bounds ~positions ~frames:cfg.Config.frames
+                  ~models ~frames:cfg.Config.frames
                   ~backtrack:cfg.Config.seq_backtrack
                   ~should_abort:(fun () ->
                     Clock.expired dlf || Pool.cancelled token)
@@ -1060,7 +1067,9 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
     st.final_circuits <- st.final_circuits + 1;
     match
       plan_sequence ~sink scanned config ~remaining_faults
-        ~bounds:fp.Group.spans ~positions ~frames:cfg.Config.final_frames
+        ~models:
+          (seq_models ~keep:false scanned config ~positions fp.Group.spans)
+        ~frames:cfg.Config.final_frames
         ~backtrack:cfg.Config.final_backtrack
         ~should_abort:(fun () -> Clock.expired dlf)
         i
@@ -1090,7 +1099,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
                  (fun () ->
                    Podem.run ~backtrack_limit:cfg.Config.final_backtrack
                      ~should_abort:(fun () -> Clock.expired dl_fin)
-                     ~scoap ~impossible view ~faults:[ fault ])
+                     ~model ~impossible view ~faults:[ fault ])
              with
              | Podem.Untestable, stats ->
                add_podem_stats acct stats;
@@ -1274,7 +1283,8 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
   in
   let n_hard = Array.length hard_faults in
   let view = View.scan_mode scanned ~constraints:config.Scan.constraints () in
-  let scoap = Fst_testability.Scoap.compute view in
+  (* One PODEM model of the scan-mode view serves step 2 and the finals. *)
+  let model = Podem.model view in
   (* Phase 0 (static): ternary constant propagation, the implication graph
      and the fault-independent untestability proofs ({!Fst_sca.Sca}) over
      the scan-mode model. Pure and deterministic, so the checkpointed
@@ -1327,7 +1337,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
           let p =
             plan_step2 ~cfg ~budget ~acct:ck.acct
               ~aborted_flag:ck.aborted_flag ~failed_flag:ck.failed_flag
-              ~static_flag ~impossible view scoap scanned config ~hard_faults
+              ~static_flag ~impossible view model scanned config ~hard_faults
           in
           ck.c_plan <- Some p;
           save "step2-atpg";
@@ -1368,7 +1378,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
               ~save_progress:(fun p ->
                 ck.c_s3 <- Some p;
                 save "step3-wave")
-              scanned config ~classify ~hard_index ~remaining ~view ~scoap
+              scanned config ~classify ~hard_index ~remaining ~view ~model
           in
           ck.c_fin <-
             Some

@@ -48,7 +48,7 @@ let run ?(config = Config.default) ?(deadline = Clock.never) scanned
   in
   let n = Array.length targets in
   let view = functional_view scanned config in
-  let scoap = Fst_testability.Scoap.compute view in
+  let model = Podem.model view in
   let keep_going = on_error = `Keep_going in
   let blocks = ref [] in
   let proven = Array.make n false in
@@ -61,7 +61,7 @@ let run ?(config = Config.default) ?(deadline = Clock.never) scanned
        match
          Podem.run ~backtrack_limit:backtrack
            ~should_abort:(fun () -> Clock.expired deadline)
-           ~scoap view ~faults:[ targets.(!i) ]
+           ~model view ~faults:[ targets.(!i) ]
        with
        | Podem.Test assignment, _ ->
          let ff_values, pi_values =

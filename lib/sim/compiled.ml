@@ -71,19 +71,28 @@ let of_circuit (c : Circuit.t) =
   let nodes = c.Circuit.nodes in
   let is_gate i = match nodes.(i) with Circuit.Gate _ -> true | _ -> false in
   (* Stable net -> slot permutation: level-0 nodes first (net order), then
-     gates sorted by (level, net id). *)
-  let gates = ref [] in
-  for i = n - 1 downto 0 do
-    if is_gate i then gates := i :: !gates
+     gates sorted by (level, net id) — a counting sort over levels, filled
+     in net order. *)
+  let depth = Circuit.depth c in
+  let next = Array.make (depth + 2) 0 in
+  for i = 0 to n - 1 do
+    if is_gate i then begin
+      let l = c.Circuit.level.(i) + 1 in
+      next.(l) <- next.(l) + 1
+    end
   done;
-  let gates = Array.of_list !gates in
-  Array.sort
-    (fun a b ->
-      match Int.compare c.Circuit.level.(a) c.Circuit.level.(b) with
-      | 0 -> Int.compare a b
-      | d -> d)
-    gates;
-  let n_gates = Array.length gates in
+  for l = 1 to depth + 1 do
+    next.(l) <- next.(l) + next.(l - 1)
+  done;
+  let n_gates = next.(depth + 1) in
+  let gates = Array.make n_gates 0 in
+  for i = 0 to n - 1 do
+    if is_gate i then begin
+      let l = c.Circuit.level.(i) in
+      gates.(next.(l)) <- i;
+      next.(l) <- next.(l) + 1
+    end
+  done;
   let n_level0 = n - n_gates in
   let perm = Array.make n (-1) in
   let net_of = Array.make n (-1) in
@@ -122,7 +131,6 @@ let of_circuit (c : Circuit.t) =
         Array.iteri (fun p f -> fanin.(o + p) <- perm.(f)) fi
       | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> assert false)
     gates;
-  let depth = Circuit.depth c in
   let level_off = Array.make (depth + 2) n_gates in
   (* Gates are sorted by level; record the first gate index of each level. *)
   let prev = ref 0 in
@@ -265,6 +273,35 @@ let eval_range cc ?(fanin = cc.fanin) (v : Bytes.t) ~lo ~hi =
 
 let eval cc ?fanin v = eval_range cc ?fanin v ~lo:0 ~hi:cc.n_gates
 
+(* Evaluate gate [k] alone, reading its fanins straight out of [v]: the
+   per-event kernel of the event-driven PODEM implication. *)
+let eval_gate cc (v : Bytes.t) k =
+  let fanin = cc.fanin in
+  let o = Array.unsafe_get cc.fanin_off k in
+  let o_hi = Array.unsafe_get cc.fanin_off (k + 1) in
+  let opk = Array.unsafe_get cc.gate_op k in
+  match opk with
+  | 0 | 1 ->
+    let acc = ref V3b.and_unit in
+    for i = o to o_hi - 1 do
+      acc := V3b.band !acc (get v (Array.unsafe_get fanin i))
+    done;
+    if opk = 0 then !acc else V3b.bnot !acc
+  | 2 | 3 ->
+    let acc = ref V3b.or_unit in
+    for i = o to o_hi - 1 do
+      acc := V3b.bor !acc (get v (Array.unsafe_get fanin i))
+    done;
+    if opk = 2 then !acc else V3b.bnot !acc
+  | 4 | 5 ->
+    let acc = ref V3b.xor_unit in
+    for i = o to o_hi - 1 do
+      acc := V3b.bxor !acc (get v (Array.unsafe_get fanin i))
+    done;
+    if opk = 4 then !acc else V3b.bnot !acc
+  | 6 -> get v (Array.unsafe_get fanin o)
+  | _ -> V3b.bnot (get v (Array.unsafe_get fanin o))
+
 (* Evaluate one gate (by gate index) and return its code; used by the
    event-driven overlay, which reads fanins through its own divergence
    view. [read] maps a fanin position in the pool to a code. *)
@@ -325,12 +362,14 @@ let trace cc (stim : cstim) =
 (* ---- static cones in slot space ---------------------------------------- *)
 
 (* Everything reachable from [seeds] through the fanout CSR — crossing
-   flip-flop boundaries — marked in [mark]. This is the union soundness
-   envelope of a packed fault group: slots outside it can never diverge
-   from the good trace. The caller owns both buffers and reads the cone
-   back in ascending (levelized) order by scanning [mark], which costs
-   less than building and sorting a slot list per group. *)
-let cone_mark cc ~mark ~stack ~seeds =
+   flip-flop boundaries unless [ffs] is false — marked in [mark]. This is
+   the union soundness envelope of a packed fault group: slots outside it
+   can never diverge from the good trace. The caller owns both buffers
+   and reads the cone back in ascending (levelized) order by scanning
+   [mark], which costs less than building and sorting a slot list per
+   group. A combinational model (PODEM's) passes [~ffs:false]: there a
+   flip-flop output is a source that never reads its data pin. *)
+let cone_mark ?(ffs = true) cc ~mark ~stack ~seeds =
   let sp = ref 0 in
   let visit s =
     if Bytes.unsafe_get mark s = '\000' then begin
@@ -344,7 +383,9 @@ let cone_mark cc ~mark ~stack ~seeds =
     decr sp;
     let s = stack.(!sp) in
     for i = cc.fanout_off.(s) to cc.fanout_off.(s + 1) - 1 do
-      visit (Array.unsafe_get cc.fanout i)
+      (* the only level-0 consumers are flip-flops *)
+      let c = Array.unsafe_get cc.fanout i in
+      if ffs || c >= cc.n_level0 then visit c
     done
   done
 

@@ -82,6 +82,11 @@ val eval_range : t -> ?fanin:int array -> Bytes.t -> lo:int -> hi:int -> unit
 (** Full combinational settle: [eval_range ~lo:0 ~hi:n_gates]. *)
 val eval : t -> ?fanin:int array -> Bytes.t -> unit
 
+(** [eval_gate cc v k] evaluates gate [k] alone on [v] and returns its
+    code, leaving [v] untouched — the per-event step of an event-driven
+    scalar evaluator. *)
+val eval_gate : t -> Bytes.t -> int -> V3b.code
+
 (** [eval_gate_via cc ~read k] evaluates gate [k] alone, reading each
     fanin through [read : pool_index -> code] — the event-driven overlay
     supplies a divergence-aware reader. *)
@@ -104,14 +109,15 @@ val trace : t -> cstim -> Bytes.t array
 
     [cone_mark cc ~mark ~stack ~seeds] sets byte [s] of [mark] to 1 for
     every slot [s] reachable from [seeds] through the fanout CSR
-    (crossing flip-flop boundaries), seeds included. Slots outside it can
-    never diverge from the good machine under a fault whose effect
+    (crossing flip-flop boundaries unless [ffs] is false: a combinational
+    model's flip-flop outputs are sources), seeds included. Slots outside
+    it can never diverge from the good machine under a fault whose effect
     enters at [seeds]. [mark] (length >= [n_slots]) must be clear over
     the cone on entry — the walk skips slots already marked; [stack] is
     scratch of length >= [n_slots]. Scanning [mark] in slot order reads
     the cone back levelized. *)
 val cone_mark :
-  t -> mark:Bytes.t -> stack:int array -> seeds:int array -> unit
+  ?ffs:bool -> t -> mark:Bytes.t -> stack:int array -> seeds:int array -> unit
 
 (** {2 Bit-plane kernel}
 
