@@ -41,9 +41,8 @@ val model : ?scoap:Fst_testability.Scoap.t -> View.t -> model
     @param backtrack_limit default 1000.
     @param should_abort cooperative abort hook, polled between backtracks;
     once it returns true the search reports {!Aborted} at the next
-    backtrack. Callers derive it from a wall-clock deadline and/or a
-    {!Fst_exec.Pool.token}, so one stuck target cannot pin a domain past
-    its budget.
+    backtrack. Callers derive it from a wall-clock deadline, so one stuck
+    target cannot run past its budget.
     @param scoap computed from [view] when not supplied (pass it when
     running many faults on one view).
     @param impossible static-implication hints ([impossible net v] = the

@@ -57,8 +57,8 @@ val run_on :
 
 (** @param should_abort cooperative abort hook: polled before each frame
     count and between PODEM backtracks, so a tripped wall-clock deadline
-    or a cancellation token ({!Fst_exec.Pool.token}) stops the search
-    promptly instead of letting one target pin a domain. *)
+    stops the search promptly instead of letting one target run past
+    its budget. *)
 val run :
   ?should_abort:(unit -> bool) ->
   Circuit.t ->

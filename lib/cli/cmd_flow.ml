@@ -26,13 +26,13 @@ let spec =
         Spec.value_arg [ "--chaos" ] ~docv:"SEED"
           ~doc:"Arm the deterministic chaos harness with the plan derived \
                 from SEED: seeded exception/delay/cancel injections at \
-                pool-task, engine and checkpoint boundaries. Same seed, \
+                step-3 planning, engine and checkpoint boundaries. Same seed, \
                 same injections. Robustness testing only.";
         Spec.value_arg [ "--chaos-p" ] ~docv:"P"
           ~doc:"Per-site injection probability for --chaos (default 0.02).";
         Spec.value_arg [ "--checkpoint" ] ~docv:"PATH"
           ~doc:"Persist flow progress to PATH after every phase and every \
-                step-3 wave (atomic rewrite, with the previous good file \
+                step-3 group (atomic rewrite, with the previous good file \
                 kept as PATH.prev).";
         Spec.flag_arg [ "--resume" ]
           ~doc:"Resume from the --checkpoint file if it matches this \
@@ -40,7 +40,7 @@ let spec =
         Spec.value_arg [ "--trace" ] ~docv:"FILE"
           ~doc:"Write a Chrome trace-event JSON file (open in Perfetto or \
                 chrome://tracing): spans for every phase, step-3 \
-                wave/group, per-domain pool chunk, and each ATPG call over \
+                group, per-domain pool chunk, and each ATPG call over \
                 1ms.";
         Spec.value_arg [ "--metrics" ] ~docv:"FILE"
           ~doc:"Write a JSON metrics snapshot (counters, gauges, \

@@ -120,8 +120,9 @@ let out_arg =
 
 let jobs_arg =
   Spec.value_arg [ "-j"; "--jobs" ] ~docv:"N"
-    ~doc:"Domains for fault simulation and grouped sequential ATPG (0 = one \
-          per recommended core; 1 = single-core flow)."
+    ~doc:"Domains for fault simulation (0 = one per recommended core). \
+          Reports are identical for every value: ATPG, step 3's group \
+          loop included, always runs sequentially."
 
 let engine_arg =
   Spec.value_arg [ "--engine" ] ~docv:"ENGINE"

@@ -38,7 +38,10 @@ type on_error = [ `Fail_fast | `Keep_going ]
 
 type t = {
   engine : engine;  (** fault-sim back-end selector (default [`Auto]) *)
-  jobs : int;  (** worker domains for fsim/ATPG pools *)
+  jobs : int;
+      (** worker domains for fault simulation (step 2, and the fault
+          simulation that retires step-3 detections); results are
+          identical for every value *)
   dist_floor_scale : float;
       (** scales the paper's [LARGE_DIST]/[MED_DIST]/[DIST] floors *)
   comb_backtrack : int;  (** PODEM backtrack limit, step-2 comb model *)
@@ -125,7 +128,7 @@ val on_error_of_string : string -> on_error option
     produce bit-identical reports share a fingerprint. This is the
     Config half of the {!Fst_serve.Cache} content address, and the
     Config contribution to the {!Flow} checkpoint fingerprint (which
-    additionally ties in [jobs] and the circuit). *)
+    additionally ties in the circuit and its scan configuration). *)
 val fingerprint : t -> string
 
 (** [equal_semantic a b] compares every field except [sink] (which holds

@@ -3,7 +3,6 @@ open Fst_fault
 open Fst_fsim
 open Fst_atpg
 open Fst_tpi
-module Pool = Fst_exec.Pool
 module Clock = Fst_exec.Clock
 module Budget = Fst_exec.Budget
 module Retry = Fst_exec.Retry
@@ -135,9 +134,8 @@ type acct = {
   mutable fin_aborts : int;
   mutable fin_cancelled : int;
   mutable fin_failed : int;
-  (* Aggregate ATPG engine statistics (satellite: they used to be computed
-     and thrown away). PODEM/Seq stats from pool domains are committed
-     here on the main domain in deterministic wave order, and the record
+  (* Aggregate ATPG engine statistics. Every ATPG call runs on the main
+     domain in flow order, so the totals are deterministic, and the record
      rides inside every checkpoint so a resumed run keeps the totals. *)
   mutable p_runs : int;
   mutable p_backtracks : int;
@@ -309,9 +307,11 @@ let fresh_ckpt () =
 let fingerprint scanned config (cfg : Config.t) =
   (* The semantic knobs come pre-digested from [Config.fingerprint]
      (shared with the serve cache's content address); the checkpoint
-     additionally ties in [jobs] — step-3 wave planning depends on it —
-     and the exact circuit and scan configuration. *)
-  let key = (cfg.Config.jobs, Config.fingerprint cfg) in
+     additionally ties in the exact circuit and scan configuration. [jobs]
+     is left out: it only sizes fault simulation, whose results are
+     identical for every value, so a run may resume at a different
+     [jobs]. *)
+  let key = Config.fingerprint cfg in
   Digest.to_hex (Digest.string (Marshal.to_string (scanned, config, key) []))
 
 (* --- instrumentation helpers ------------------------------------------- *)
@@ -627,6 +627,11 @@ let fsim_step2 ~(cfg : Config.t) ~engine ~budget ~acct ~failed_flag
 
 (* --- Step 3: grouped sequential ATPG ------------------------------------ *)
 
+(* Raised inside a step-3 planning call by an injected chaos [Cancel]. Not
+   transient, so [Retry] hands it back at once and the group fails like
+   one whose planning kept raising. *)
+exception Step3_cancelled
+
 (* Chain position lookup: flip-flop net -> (chain, position). *)
 let positions_of config =
   let tbl = Hashtbl.create 64 in
@@ -698,10 +703,9 @@ let seq_models ?keep scanned config ~positions bounds =
     ~controllable_ff:controllable ~observable_ff:observable
 
 (* Sequential-ATPG planning for one fault: realize a detecting sequence on
-   the bounded model, without touching any shared state (safe to run on a
-   pool domain that owns [models]). [should_abort] folds the per-fault
-   wall-clock deadline with the wave's cancellation token, so one stuck
-   target cannot pin a domain past its budget. *)
+   the bounded model, without touching any shared state (so a failed call
+   can simply be retried). [should_abort] is the per-fault wall-clock
+   deadline, so one stuck target cannot hold the phase past its budget. *)
 let plan_sequence ~sink scanned config ~remaining_faults ~models ~frames
     ~backtrack ~should_abort target_idx =
   let fault = remaining_faults.(target_idx) in
@@ -782,25 +786,21 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
   in
   let flag_idx i = aborted_flag.(remaining_arr.(i)) <- true in
   let fail_idx i = failed_flag.(remaining_arr.(i)) <- true in
-  let token = Pool.token () in
-  (* Set when an engine call inside a commit (retirement fault-sim)
-     permanently fails under [`Keep_going]. *)
+  (* Set when a retirement engine call permanently fails under
+     [`Keep_going]. *)
   let engine_poisoned = ref false in
   (* Retirement with the failure policy applied: under [`Fail_fast] the
      engine call propagates exceptions exactly as before; under
      [`Keep_going] it is retried, and a permanent failure poisons the
      surrounding cohort instead of raising. *)
-  let retire ~jobs stim =
-    if not keep_going then
-      ignore
-        (retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults
-           ~stim)
+  let retire stim =
+    let go () =
+      retire_detections ~sink ~engine ~jobs:cfg.Config.jobs st scanned
+        ~remaining_faults ~stim
+    in
+    if not keep_going then ignore (go ())
     else
-      match
-        Retry.run (fun () ->
-            retire_detections ~sink ~engine ~jobs st scanned
-              ~remaining_faults ~stim)
-      with
+      match Retry.run go with
       | Stdlib.Ok _ -> ()
       | Stdlib.Error (e, _bt) ->
         engine_poisoned := true;
@@ -810,12 +810,35 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
             ("error", Json.String (Printexc.to_string e));
           ]
   in
-  (* Cohort containment: once a group's planning task or a retirement
-     engine call permanently fails, every still-alive fault's downstream
-     outcome is suspect (the missing stimuli would have retired an
-     unknowable subset of them), so the whole remaining cohort moves to
-     the failed bucket. Retries make this a last resort, and the
-     already-committed detections stay trustworthy. *)
+  (* Sequential ATPG for one target with the failure policy applied. The
+     planning call is pure, so under [`Keep_going] it is simply retried;
+     the chaos hook sits inside the retried thunk, so a one-shot injection
+     is absorbed and only a plan that keeps firing (or a [Cancel], which
+     is poison) surfaces as [Error]. *)
+  let plan_target ~models i =
+    let dlf =
+      Budget.fault_deadline budget Budget.Step3 cfg.Config.seq_fault_seconds
+    in
+    let plan () =
+      plan_sequence ~sink scanned config ~remaining_faults ~models
+        ~frames:cfg.Config.frames ~backtrack:cfg.Config.seq_backtrack
+        ~should_abort:(fun () -> Clock.expired dlf)
+        i
+    in
+    if not keep_going then Stdlib.Ok (plan ())
+    else
+      Retry.run (fun () ->
+          (match Chaos.point Chaos.Step3_plan with
+           | `Cancel -> raise Step3_cancelled
+           | `Ok -> ());
+          plan ())
+  in
+  (* Cohort containment: once a planning call or a retirement engine call
+     permanently fails, every still-alive fault's downstream outcome is
+     suspect (the missing stimuli would have retired an unknowable subset
+     of them), so the whole remaining cohort moves to the failed bucket.
+     Retries make this a last resort, and the already-committed
+     detections stay trustworthy. *)
   let cohort_fail phase =
     let alive_ids =
       Hashtbl.fold (fun i () acc -> i :: acc) st.alive []
@@ -838,7 +861,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
         ("faults", Json.Int count);
       ]
   in
-  let checkpoint_wave () =
+  let checkpoint_group () =
     save_progress
       {
         cursor = !cursor;
@@ -850,40 +873,38 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
         seconds_before = !seconds_before +. (Clock.now () -. t0);
       }
   in
-  (* Accounts every group from the cursor onward as cancelled (with its
-     alive members denied) when the phase budget trips. *)
-  let drain_cancelled () =
-    acct.s3_late <- true;
-    for g = !cursor to n_groups - 1 do
-      let alive_targets =
-        List.filter
-          (fun fp -> Hashtbl.mem st.alive fp.Group.index)
-          (targets_of groups.(g))
-      in
-      if alive_targets <> [] then begin
-        acct.s3_cancelled <- acct.s3_cancelled + 1;
-        List.iter (fun fp -> flag_idx fp.Group.index) alive_targets
-      end
-    done;
-    cursor := n_groups
-  in
+  (* The paper's step 3, one group at a time: build the group's bounded
+     models, then for each still-alive target plan a sequence and retire
+     every fault it detects before the next target is attacked. A tripped
+     phase budget accounts every group from the cursor onward as
+     cancelled, with its alive members denied. *)
   while !cursor < n_groups do
-    if Clock.expired dl3 || Pool.cancelled token then drain_cancelled ()
-    else if cfg.Config.jobs <= 1 && not keep_going then begin
-      (* One core, fail-fast: the original fully-dropped order — every
-         realized sequence retires faults before the next target is even
-         attacked. One group per wave, checkpointed after commit.
-         [`Keep_going] always takes the wave path below (even on one
-         core) so that failed groups are isolated per task; the planned
-         stimuli are identical, only intra-group dropping is coarser. *)
+    if Clock.expired dl3 then begin
+      acct.s3_late <- true;
+      for g = !cursor to n_groups - 1 do
+        let alive_targets =
+          List.filter
+            (fun fp -> Hashtbl.mem st.alive fp.Group.index)
+            (targets_of groups.(g))
+        in
+        if alive_targets <> [] then begin
+          acct.s3_cancelled <- acct.s3_cancelled + 1;
+          List.iter (fun fp -> flag_idx fp.Group.index) alive_targets
+        end
+      done;
+      cursor := n_groups
+    end
+    else begin
       let group = groups.(!cursor) in
       let group_no = !cursor in
       incr cursor;
-      let bounds = Group.bounds_of_group group in
       let targets = targets_of group in
       if any_alive targets then begin
         st.group_circuits <- st.group_circuits + 1;
-        let models = seq_models scanned config ~positions bounds in
+        let models =
+          seq_models scanned config ~positions (Group.bounds_of_group group)
+        in
+        let group_failed = ref false in
         Sink.span sink
           ~name:(Printf.sprintf "step3.group%d" group_no)
           ~cat:"step3"
@@ -891,165 +912,39 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
             List.iter
               (fun fp ->
                 let i = fp.Group.index in
-                if Hashtbl.mem st.alive i then begin
-                  let dlf =
-                    Budget.fault_deadline budget Budget.Step3
-                      cfg.Config.seq_fault_seconds
-                  in
-                  match
-                    plan_sequence ~sink scanned config ~remaining_faults
-                      ~models ~frames:cfg.Config.frames
-                      ~backtrack:cfg.Config.seq_backtrack
-                      ~should_abort:(fun () -> Clock.expired dlf)
-                      i
-                  with
-                  | None, stats ->
+                if
+                  Hashtbl.mem st.alive i
+                  && not (!group_failed || !engine_poisoned)
+                then
+                  match plan_target ~models i with
+                  | Stdlib.Ok (None, stats) ->
                     add_seq_stats acct stats;
                     acct.s3_aborts <- acct.s3_aborts + 1;
                     if Clock.expired dl3 then flag_idx i
-                  | Some stim, stats ->
+                  | Stdlib.Ok (Some stim, stats) ->
                     add_seq_stats acct stats;
-                    ignore
-                      (retire_detections ~sink ~engine ~jobs:1 st scanned
-                         ~remaining_faults ~stim)
-                end)
+                    retire stim
+                  | Stdlib.Error (e, _bt) ->
+                    acct.s3_failed_groups <- acct.s3_failed_groups + 1;
+                    group_failed := true;
+                    Sink.event sink ~kind:"group_failed"
+                      [
+                        ("phase", Json.String "step3");
+                        ("group", Json.Int group_no);
+                        ("error", Json.String (Printexc.to_string e));
+                      ])
               targets);
-        checkpoint_wave ();
+        if !group_failed || !engine_poisoned then begin
+          cohort_fail `Step3;
+          cursor := n_groups
+        end;
+        checkpoint_group ();
         if sink.Sink.enabled then
           Sink.tick sink ~phase:"step3" ~done_:!cursor ~total:n_groups
-            ~detected:st.detected3 ~budget_left:(Clock.remaining dl3) ()
+            ~detected:st.detected3 ~failed:acct.s3_failed
+            ~quarantined:acct.s3_failed_groups
+            ~budget_left:(Clock.remaining dl3) ()
       end
-    end
-    else begin
-      (* Multicore: waves of up to [jobs] groups. Planning (sequential ATPG
-         on the group's bounded model) runs on the pool against a snapshot
-         of the alive set; realized sequences are then committed in group
-         order on the main domain, so the merge order — and hence the
-         result for a fixed [jobs] — is deterministic. Fault dropping still
-         happens between waves and at commit time, only not between the
-         groups of one wave. A tripped budget cancels the wave's unclaimed
-         groups cooperatively. *)
-      let jobs = cfg.Config.jobs in
-      let wave_no = !cursor in
-      let wave = ref [] in
-      while List.length !wave < jobs && !cursor < n_groups do
-        let group = groups.(!cursor) in
-        incr cursor;
-        let targets = targets_of group in
-        if any_alive targets then
-          wave := (Group.bounds_of_group group, targets) :: !wave
-      done;
-      let wave_arr = Array.of_list (List.rev !wave) in
-      let snapshot = Hashtbl.copy st.alive in
-      let plan_group (bounds, targets) =
-        let models = seq_models scanned config ~positions bounds in
-        List.map
-          (fun fp ->
-            let i = fp.Group.index in
-            if not (Hashtbl.mem snapshot i) then (i, None, false, None)
-            else begin
-              let dlf =
-                Budget.fault_deadline budget Budget.Step3
-                  cfg.Config.seq_fault_seconds
-              in
-              match
-                plan_sequence ~sink scanned config ~remaining_faults
-                  ~models ~frames:cfg.Config.frames
-                  ~backtrack:cfg.Config.seq_backtrack
-                  ~should_abort:(fun () ->
-                    Clock.expired dlf || Pool.cancelled token)
-                  i
-              with
-              | None, stats -> (i, None, true, Some stats)
-              | Some stim, stats -> (i, Some stim, false, Some stats)
-            end)
-          targets
-      in
-      (* The group's model was never built: its alive members were
-         denied their attempt. *)
-      let commit_cancelled w =
-        let _, targets = wave_arr.(w) in
-        let alive_targets =
-          List.filter
-            (fun fp -> Hashtbl.mem st.alive fp.Group.index)
-            targets
-        in
-        acct.s3_late <- true;
-        if alive_targets <> [] then begin
-          acct.s3_cancelled <- acct.s3_cancelled + 1;
-          List.iter (fun fp -> flag_idx fp.Group.index) alive_targets
-        end
-      in
-      let commit_done results =
-        st.group_circuits <- st.group_circuits + 1;
-        List.iter
-          (fun (i, stim_opt, atpg_aborted, stats_opt) ->
-            (match stats_opt with
-             | Some stats -> add_seq_stats acct stats
-             | None -> ());
-            match stim_opt with
-            | Some stim -> if Hashtbl.mem st.alive i then retire ~jobs stim
-            | None ->
-              if atpg_aborted then begin
-                acct.s3_aborts <- acct.s3_aborts + 1;
-                if Clock.expired dl3 && Hashtbl.mem st.alive i then
-                  flag_idx i
-              end)
-          results
-      in
-      let wave_poisoned = ref false in
-      (* Results — including the ATPG statistics gathered on the pool
-         domains — are committed on the main domain, in wave order, so
-         the totals in [acct] are deterministic for a fixed [jobs]. *)
-      Sink.span sink
-        ~name:(Printf.sprintf "step3.wave@%d" wave_no)
-        ~cat:"step3"
-        (fun () ->
-          if not keep_going then
-            let plans =
-              Pool.map_cancellable ~obs:sink ~label:"step3" ~jobs ~chunk:1
-                ~token ~deadline:dl3 plan_group wave_arr
-            in
-            Array.iteri
-              (fun w outcome ->
-                match outcome with
-                | Pool.Cancelled -> commit_cancelled w
-                | Pool.Done results -> commit_done results)
-              plans
-          else
-            let plans =
-              Pool.map_cancellable_isolated ~obs:sink ~label:"step3" ~jobs
-                ~chunk:1 ~token ~deadline:dl3 plan_group wave_arr
-            in
-            Array.iteri
-              (fun w outcome ->
-                match outcome with
-                | Pool.Task.Cancelled ->
-                  (* With budget left, cancellation can only come from an
-                     injected [Cancel]: that is a failure, not an abort. *)
-                  if Clock.expired dl3 then commit_cancelled w
-                  else wave_poisoned := true
-                | Pool.Task.Failed (e, _bt) ->
-                  acct.s3_failed_groups <- acct.s3_failed_groups + 1;
-                  wave_poisoned := true;
-                  Sink.event sink ~kind:"group_failed"
-                    [
-                      ("phase", Json.String "step3");
-                      ("wave", Json.Int wave_no);
-                      ("error", Json.String (Printexc.to_string e));
-                    ]
-                | Pool.Task.Ok results -> commit_done results)
-              plans);
-      if !wave_poisoned || !engine_poisoned then begin
-        cohort_fail `Step3;
-        cursor := n_groups
-      end;
-      checkpoint_wave ();
-      if sink.Sink.enabled then
-        Sink.tick sink ~phase:"step3" ~done_:!cursor ~total:n_groups
-          ~detected:st.detected3 ~failed:acct.s3_failed
-          ~quarantined:acct.s3_failed_groups
-          ~budget_left:(Clock.remaining dl3) ()
     end
   done;
   (* Final faults: prove undetectable through the relaxed combinational
@@ -1080,7 +975,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
       if Clock.expired dl_fin then flag_idx i
     | Some stim, stats ->
       add_seq_stats acct stats;
-      retire ~jobs:cfg.Config.jobs stim
+      retire stim
   in
   List.iter
     (fun i ->
@@ -1117,7 +1012,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
                let stim =
                  Sequences.of_comb_test scanned config ~ff_values ~pi_values
                in
-               retire ~jobs:cfg.Config.jobs stim;
+               retire stim;
                if Hashtbl.mem st.alive i && not !engine_poisoned then
                  attack_final i footprints.(i)
              | Podem.Aborted, stats ->
@@ -1246,7 +1141,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
         | Stdlib.Error (e, bt) ->
           (* Keep-going: a checkpoint that cannot be written is skipped —
              the run still completes, it just resumes from an older
-             wave. *)
+             group. *)
           if keep_going then
             Sink.event sink ~kind:"checkpoint_failed"
               [
@@ -1359,7 +1254,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
           (step2, remaining))
   in
   let untestable2 = List.map (fun i -> hard_faults.(i)) plan.untestable2 in
-  (* Phases 3 and 4: grouped sequential ATPG waves, then final targeting. *)
+  (* Phases 3 and 4: grouped sequential ATPG, then final targeting. *)
   let remaining_faults =
     Array.of_list
       (List.map
@@ -1377,7 +1272,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
               ~impossible ~progress:ck.c_s3
               ~save_progress:(fun p ->
                 ck.c_s3 <- Some p;
-                save "step3-wave")
+                save "step3-group")
               scanned config ~classify ~hard_index ~remaining ~view ~model
           in
           ck.c_fin <-

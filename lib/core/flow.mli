@@ -89,12 +89,11 @@ val cancelled_groups : aborts -> int
 val failed_tasks : aborts -> int
 (** Sum of the per-phase [failed] counts. *)
 
-(** Aggregate ATPG engine statistics over the whole flow (previously
-    computed by {!Fst_atpg.Podem}/{!Fst_atpg.Seq} and discarded).
-    Accumulated deterministically: statistics produced on pool domains
-    are committed on the main domain in wave order, and the totals ride
-    inside checkpoints, so a resumed run reports the same numbers as an
-    uninterrupted one. *)
+(** Aggregate ATPG engine statistics over the whole flow, as reported by
+    {!Fst_atpg.Podem}/{!Fst_atpg.Seq}. Deterministic: every ATPG call runs
+    on the main domain in flow order, and the totals ride inside
+    checkpoints, so a resumed run reports the same numbers as an
+    uninterrupted one, whatever [jobs] either run used. *)
 type atpg_stats = {
   podem_runs : int;  (** individual PODEM invocations *)
   podem_backtracks : int;
@@ -144,14 +143,15 @@ type result = {
     [config] is the unified {!Config.t} (default {!Config.default}): every
     flow knob, the fault-simulation engine selector, the wall-clock budget
     and the observability sink in one value; with a live sink the effective
-    configuration is echoed as a ["config"] event. [jobs = 1] reproduces
-    the single-core flow exactly; step-2 results are identical for every
-    [jobs] value, and in step 3 [jobs > 1] plans the sequential-ATPG groups
-    in deterministic waves, which can change (only) how detections are
-    credited between groups. The default {!Fst_obs.Sink.null} sink compiles
-    instrumentation down to a branch, so unobserved [jobs = 1] runs are
-    bit-identical to the seed; neither the sink nor [preflight] (both pure
-    observers) is part of the checkpoint fingerprint.
+    configuration is echoed as a ["config"] event. [jobs] only sizes the
+    fault-simulation pool, whose results are identical for every value;
+    all ATPG runs sequentially, step 3 as one group-by-group loop that
+    retires each realized sequence's detections before the next target is
+    attacked. The whole result is therefore the same for every [jobs] and
+    for both failure policies as long as nothing fails. The default
+    {!Fst_obs.Sink.null} sink compiles instrumentation down to a branch;
+    neither [jobs], the sink nor [preflight] is part of the checkpoint
+    fingerprint.
 
     [budget] (default: [config.time_budget], else
     {!Fst_exec.Budget.unlimited}) bounds the whole run in
@@ -160,13 +160,13 @@ type result = {
     accounted in {!type-aborts}.
 
     [checkpoint] names a file to which the flow atomically persists its
-    progress after every phase and every step-3 wave. With [resume = true]
+    progress after every phase and every step-3 group. With [resume = true]
     the flow first tries to load that file — a checkpoint written for a
     different circuit, configuration, parameter set, or format version is
-    ignored — and continues from the last completed stage; a resumed
-    [jobs = 1] run produces results identical to an uninterrupted one.
+    ignored — and continues from the last completed stage; a resumed run,
+    at any [jobs], produces results identical to an uninterrupted one.
     [on_checkpoint] is called with a stage label ("classify", "sca",
-    "step2-atpg", "step2-fsim", "step3-wave", "finished") after each save.
+    "step2-atpg", "step2-fsim", "step3-group", "finished") after each save.
 
     [on_resume] is called once when [resume = true] and a checkpoint path
     was given: [`Loaded src] says which file the state came from

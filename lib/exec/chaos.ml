@@ -4,17 +4,16 @@
    number, action) triples. Every hook point belongs to one of a small
    fixed set of sites; each site keeps a private atomic hit counter, and
    a hook fires the planned action exactly when its site's counter
-   reaches the planned sequence number. Because sites tick on the caller
-   domain at deterministic program points (pool task bodies run their
-   hook inside the task, engine entry points and checkpoint I/O run on
-   the main domain), the same plan against the same workload injects at
-   the same places every run.
+   reaches the planned sequence number. Because sites tick at
+   deterministic program points (step-3 planning calls, engine entry
+   points and checkpoint I/O, all on the main domain), the same plan
+   against the same workload injects at the same places every run.
 
    The whole harness hides behind a single [state option Atomic.t]:
    when no plan is installed, a hook is one atomic load and a compare —
    cheap enough to leave compiled into production paths. *)
 
-type site = Pool_task | Engine | Ckpt_save | Ckpt_load
+type site = Step3_plan | Engine | Ckpt_save | Ckpt_load
 type action = Raise | Delay of float | Cancel
 type injection = { site : site; at : int; action : action }
 type plan = injection list
@@ -23,13 +22,13 @@ exception Injected of string
 
 let n_sites = 4
 let site_index = function
-  | Pool_task -> 0
+  | Step3_plan -> 0
   | Engine -> 1
   | Ckpt_save -> 2
   | Ckpt_load -> 3
 
 let site_name = function
-  | Pool_task -> "pool-task"
+  | Step3_plan -> "step3-plan"
   | Engine -> "engine"
   | Ckpt_save -> "ckpt-save"
   | Ckpt_load -> "ckpt-load"
@@ -116,7 +115,7 @@ let unit_float st =
 
 let plan_of_seed ?(p = 0.02) ?(span = 200) seed =
   let st = ref (Int64.of_int seed) in
-  let sites = [| Pool_task; Engine; Ckpt_save; Ckpt_load |] in
+  let sites = [| Step3_plan; Engine; Ckpt_save; Ckpt_load |] in
   let plan = ref [] in
   for at = 0 to span - 1 do
     Array.iter

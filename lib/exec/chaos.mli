@@ -17,16 +17,17 @@
     install a plan must {!clear} it afterwards. *)
 
 (** Injection sites, i.e. classes of hook points:
-    [Pool_task] fires inside each isolated pool task body (see
-    {!Pool.map_isolated}); [Engine] at each fault-simulation engine
+    [Step3_plan] fires inside each step-3 sequential-ATPG planning call
+    under keep-going (inside its retry, so a one-shot injection is
+    absorbed); [Engine] at each fault-simulation engine
     entry call ({!Fst_fsim.Fsim.Engine}); [Ckpt_save] / [Ckpt_load]
     around checkpoint writes and reads. *)
-type site = Pool_task | Engine | Ckpt_save | Ckpt_load
+type site = Step3_plan | Engine | Ckpt_save | Ckpt_load
 
 (** What a firing hook does: [Raise] raises {!Injected}; [Delay s]
     sleeps for [s] seconds (clamped to {!max_delay}); [Cancel] asks the
-    surrounding machinery to trip its cancellation token — hook points
-    without a token treat it as a no-op. *)
+    surrounding machinery to abandon the work at hand — a step-3 planning
+    call fails its group, the other sites treat it as a no-op. *)
 type action = Raise | Delay of float | Cancel
 
 type injection = { site : site; at : int; action : action }
@@ -79,7 +80,7 @@ val restore : int array -> unit
     [--chaos SEED] CLI flag and the chaos smoke. *)
 val plan_of_seed : ?p:float -> ?span:int -> int -> plan
 
-(** [site_name s] is a stable lowercase name (["pool-task"], ["engine"],
+(** [site_name s] is a stable lowercase name (["step3-plan"], ["engine"],
     ["ckpt-save"], ["ckpt-load"]). *)
 val site_name : site -> string
 

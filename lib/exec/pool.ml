@@ -1,15 +1,5 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* --- cooperative cancellation ------------------------------------------ *)
-
-type token = bool Atomic.t
-
-let token () = Atomic.make false
-let cancel t = Atomic.set t true
-let cancelled t = Atomic.get t
-
-type 'a outcome = Done of 'a | Cancelled
-
 module Sink = Fst_obs.Sink
 module Metrics = Fst_obs.Metrics
 module Timeline = Fst_obs.Timeline
@@ -41,20 +31,15 @@ let retire_worker (obs : Sink.t) k ~busy ~wall =
    cursor may overshoot its range end under concurrent steals; the claim
    is simply empty then, so overshoot is harmless. Each slot of [results]
    is written by exactly one domain; [Domain.join] publishes those writes
-   to the caller. [stop] is polled before every claim (own or stolen, and
-   between tasks on the sequential path), so a tripped deadline or a
-   cancelled token drains the queue instead of running it to completion;
-   tasks already claimed run to the end of their chunk. *)
-let run_tasks ~obs ~label ~jobs ~chunk ~stop n
+   to the caller. *)
+let run_tasks ~obs ~label ~jobs ~chunk n
     (run_one : wid:int -> int -> unit) =
   if n > 0 then begin
     let live = obs.Sink.enabled in
     if jobs <= 1 then begin
       let t0 = if live then Clock.now () else 0.0 in
-      let i = ref 0 in
-      while !i < n && not (stop ()) do
-        run_one ~wid:0 !i;
-        incr i
+      for i = 0 to n - 1 do
+        run_one ~wid:0 i
       done;
       if live then begin
         let t1 = Clock.now () in
@@ -130,26 +115,24 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
           end
         in
         let rec loop () =
-          if not (stop ()) then begin
-            let claimed = ref false in
-            let v = ref 0 in
-            while (not !claimed) && !v < w do
-              let victim = (k + !v) mod w in
-              (match try_claim victim with
-               | Some (lo, hi) ->
-                 claimed := true;
-                 let stolen = victim <> k in
-                 if stolen then begin
-                   match steals_c with
-                   | Some c -> Metrics.Counter.incr c
-                   | None -> ()
-                 end;
-                 run_chunk ~stolen lo hi
-               | None -> ());
-              incr v
-            done;
-            if !claimed then loop ()
-          end
+          let claimed = ref false in
+          let v = ref 0 in
+          while (not !claimed) && !v < w do
+            let victim = (k + !v) mod w in
+            (match try_claim victim with
+             | Some (lo, hi) ->
+               claimed := true;
+               let stolen = victim <> k in
+               if stolen then begin
+                 match steals_c with
+                 | Some c -> Metrics.Counter.incr c
+                 | None -> ()
+               end;
+               run_chunk ~stolen lo hi
+             | None -> ());
+            incr v
+          done;
+          if !claimed then loop ()
         in
         loop ();
         if live then retire_worker obs k ~busy:!busy ~wall:(Clock.now () -. wall0)
@@ -161,8 +144,6 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
       Array.iter Domain.join helpers
     end
   end
-
-let never_stop () = false
 
 let chunk_of ?chunk ~jobs n =
   match chunk with
@@ -219,8 +200,7 @@ let map_array_init ?(obs = Sink.null) ?(label = "map") ?chunk ?work ~jobs
            | y -> Ok y
            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    run_tasks ~obs ~label ~jobs ~chunk:(chunk_of ?chunk ~jobs n)
-      ~stop:never_stop n run_one;
+    run_tasks ~obs ~label ~jobs ~chunk:(chunk_of ?chunk ~jobs n) n run_one;
     reraise_first n slots;
     Array.map
       (function
@@ -228,146 +208,3 @@ let map_array_init ?(obs = Sink.null) ?(label = "map") ?chunk ?work ~jobs
         | Some (Error _) | None -> assert false)
       slots
   end
-
-let map_array ?obs ?label ?chunk ?work ~jobs f xs =
-  map_array_init ?obs ?label ?chunk ?work ~jobs
-    ~init:(fun () -> ())
-    (fun () x -> f x)
-    xs
-
-let mapi_array ?obs ?label ?chunk ?work ~jobs f xs =
-  let indexed = Array.mapi (fun i x -> (i, x)) xs in
-  map_array ?obs ?label ?chunk ?work ~jobs (fun (i, x) -> f i x) indexed
-
-let map_list ?obs ?label ?chunk ?work ~jobs f xs =
-  Array.to_list (map_array ?obs ?label ?chunk ?work ~jobs f (Array.of_list xs))
-
-exception Task_failed of int * exn
-
-let () =
-  Printexc.register_printer (function
-    | Task_failed (i, e) ->
-      Some (Printf.sprintf "Task_failed(%d, %s)" i (Printexc.to_string e))
-    | _ -> None)
-
-let map_cancellable ?(obs = Sink.null) ?(label = "map") ?chunk ?work
-    ?token:tok ?(deadline = Clock.never) ~jobs f xs =
-  let n = Array.length xs in
-  let jobs = effective_jobs ?work ~jobs n in
-  let tok = match tok with Some t -> t | None -> token () in
-  let slots = Array.make n None in
-  let run_one ~wid:_ i =
-    slots.(i) <-
-      Some
-        (match f xs.(i) with
-         | y -> Ok y
-         | exception e ->
-           (* A failing task drains the queue: unclaimed work stays
-              [Cancelled] and the first failure (in input order) is
-              re-raised after the join. *)
-           cancel tok;
-           Error (e, Printexc.get_raw_backtrace ()))
-  in
-  let stop () = cancelled tok || Clock.expired deadline in
-  run_tasks ~obs ~label ~jobs ~chunk:(chunk_of ?chunk ~jobs n) ~stop n run_one;
-  (* Wrapped in [Task_failed] so callers learn which input failed
-     without string-matching backtraces; the original backtrace is
-     preserved on the re-raise. *)
-  for i = 0 to n - 1 do
-    match slots.(i) with
-    | Some (Error (e, bt)) ->
-      Printexc.raise_with_backtrace (Task_failed (i, e)) bt
-    | Some (Ok _) | None -> ()
-  done;
-  Array.map
-    (function
-      | Some (Ok y) -> Done y
-      | None -> Cancelled
-      | Some (Error _) -> assert false)
-    slots
-
-(* --- fault-isolated maps ------------------------------------------------ *)
-
-(* Namespaced so [Ok]/[Cancelled] never shadow stdlib [Ok] or
-   [outcome]'s [Cancelled] at use sites. *)
-module Task = struct
-  type 'a outcome =
-    | Ok of 'a
-    | Failed of exn * Printexc.raw_backtrace
-    | Cancelled
-end
-
-let map_cancellable_isolated ?(obs = Sink.null) ?(label = "map") ?chunk
-    ?work ?retry ?token:tok ?(deadline = Clock.never) ~jobs f xs =
-  let n = Array.length xs in
-  let jobs = effective_jobs ?work ~jobs n in
-  let tok = match tok with Some t -> t | None -> token () in
-  let policy = match retry with Some p -> p | None -> Retry.default in
-  let live = obs.Sink.enabled in
-  let retries_c =
-    if live then
-      Some (Metrics.counter obs.Sink.metrics ("pool." ^ label ^ ".retries"))
-    else None
-  in
-  let quarantined_c =
-    if live then
-      Some
-        (Metrics.counter obs.Sink.metrics ("pool." ^ label ^ ".quarantined"))
-    else None
-  in
-  let slots = Array.make n None in
-  let run_one ~wid:_ i =
-    (* The chaos hook sits inside the retried thunk, so a one-shot
-       injection is absorbed by the retry and only a plan that keeps
-       firing produces a permanent failure. [Cancel] trips the shared
-       token: the rest of the queue drains, already-claimed tasks (this
-       one included) run to completion. *)
-    let result, attempts =
-      Retry.run_count ~policy (fun () ->
-          (match Chaos.point Chaos.Pool_task with
-           | `Cancel -> cancel tok
-           | `Ok -> ());
-          f xs.(i))
-    in
-    let retries = attempts - 1 in
-    if retries > 0 then begin
-      match retries_c with
-      | Some c -> Metrics.Counter.add c retries
-      | None -> ()
-    end;
-    (match result with
-     | Result.Ok y ->
-       slots.(i) <- Some (Task.Ok y);
-       (* Rate-limited retry reporting: one summarizing event per task
-          that needed retries, never one per attempt. *)
-       if retries > 0 && live then
-         Sink.event obs ~kind:"pool.task_retried"
-           [
-             ("label", Fst_obs.Json.String label);
-             ("index", Fst_obs.Json.Int i);
-             ("attempts", Fst_obs.Json.Int attempts);
-             ("outcome", Fst_obs.Json.String "ok");
-           ]
-     | Result.Error (e, bt) ->
-       (* Quarantine: the failure is recorded in the task's own slot and
-          the queue keeps going — a poison task never drains its
-          siblings. *)
-       slots.(i) <- Some (Task.Failed (e, bt));
-       (match quarantined_c with
-        | Some c -> Metrics.Counter.incr c
-        | None -> ());
-       if live then
-         Sink.event obs ~kind:"pool.task_quarantined"
-           [
-             ("label", Fst_obs.Json.String label);
-             ("index", Fst_obs.Json.Int i);
-             ("attempts", Fst_obs.Json.Int attempts);
-             ("error", Fst_obs.Json.String (Printexc.to_string e));
-           ])
-  in
-  let stop () = cancelled tok || Clock.expired deadline in
-  run_tasks ~obs ~label ~jobs ~chunk:(chunk_of ?chunk ~jobs n) ~stop n run_one;
-  Array.map (function Some o -> o | None -> Task.Cancelled) slots
-
-let map_isolated ?obs ?label ?chunk ?work ?retry ~jobs f xs =
-  map_cancellable_isolated ?obs ?label ?chunk ?work ?retry ~jobs f xs

@@ -41,27 +41,9 @@ val min_work : int
     [1..7] never exist (the [busy_frac [1,0,...,0]] shape). *)
 val effective_jobs : ?work:int -> jobs:int -> int -> int
 
-(** {1 Cooperative cancellation}
-
-    A {!token} is a shared stop flag. Workers poll it before every chunk
-    claim, so cancelling drains the remaining queue promptly while letting
-    already-claimed tasks finish — no task is ever interrupted midway, and
-    the results that exist are trustworthy. *)
-
-type token
-
-val token : unit -> token
-val cancel : token -> unit
-val cancelled : token -> bool
-
-(** Outcome of one task under cancellation: either its result, or
-    [Cancelled] because the queue was drained (token tripped, deadline
-    expired, or an earlier task failed) before the task was claimed. *)
-type 'a outcome = Done of 'a | Cancelled
-
 (** {1 Observability}
 
-    Every map takes an optional [obs] sink ({!Fst_obs.Sink}, default
+    {!map_array_init} takes an optional [obs] sink ({!Fst_obs.Sink}, default
     {!Fst_obs.Sink.null}) and a [label] naming the parallel region.
     With a live sink the pool records, per domain slot [k], cumulative
     [pool.domain<k>.busy_s] / [wall_s] float counters and a derived
@@ -76,27 +58,17 @@ type 'a outcome = Done of 'a | Cancelled
     per-domain utilization and idle-gap analysis in [run.json]. With
     the null sink the only cost is one branch per chunk claim. *)
 
-(** [map_array ~jobs f xs] is [Array.map f xs], computed on up to [jobs]
-    domains. [chunk] overrides the work-queue claim granularity (default:
-    about four chunks per domain); [work] is the caller's estimate of the
-    total cost (see {!min_work}). If any task raises, every claimed task
-    still runs to completion and the lowest-index failure is re-raised. *)
-val map_array :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map_array_init ~jobs ~init f xs] is {!map_array} with a per-domain
-    context: [init ()] runs at most once on each participating domain
-    (lazily, on first claim) and its result is passed to every task that
-    domain runs. Use it to reuse expensive domain-local scratch — e.g. a
-    fault simulator's good-trace buffers — across the tasks of one
-    domain without sharing mutable state between domains. *)
+(** [map_array_init ~jobs ~init f xs] is [Array.map (f ctx) xs],
+    computed on up to [jobs] domains, with a per-domain context [ctx]:
+    [init ()] runs at most once on each participating domain (lazily, on
+    first claim) and its result is passed to every task that domain runs.
+    Use it to reuse expensive domain-local scratch — e.g. a fault
+    simulator's good-trace buffers — across the tasks of one domain
+    without sharing mutable state between domains. [chunk] overrides the
+    work-queue claim granularity (default: about four chunks per domain);
+    [work] is the caller's estimate of the total cost (see {!min_work}).
+    If any task raises, every claimed task still runs to completion and
+    the lowest-index failure is re-raised. *)
 val map_array_init :
   ?obs:Fst_obs.Sink.t ->
   ?label:string ->
@@ -107,120 +79,3 @@ val map_array_init :
   ('c -> 'a -> 'b) ->
   'a array ->
   'b array
-
-(** [mapi_array] is {!map_array} with the input index. *)
-val mapi_array :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  jobs:int ->
-  (int -> 'a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map_list ~jobs f xs] is [List.map f xs] via {!map_array}. *)
-val map_list :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-
-(** Raised by {!map_cancellable} in place of a task's own exception: the
-    [int] is the input index of the lowest-index failing task, so callers
-    can attribute the failure without string-matching backtraces. The
-    original exception is the payload and its backtrace is preserved on
-    the re-raise. *)
-exception Task_failed of int * exn
-
-(** [map_cancellable ~jobs f xs] is {!map_array} with cooperative
-    cancellation: the queue stops being claimed once [token] is cancelled
-    or [deadline] expires, and every unclaimed slot comes back
-    [Cancelled], in input order. A raising task cancels the token (so the
-    rest of the queue drains) and the lowest-index recorded failure is
-    re-raised after the join, wrapped in {!Task_failed} with its input
-    index. With [jobs <= 1] the stop condition is checked between
-    consecutive tasks, so the [Done] prefix is exactly the tasks that ran
-    — fully deterministic. *)
-val map_cancellable :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  ?token:token ->
-  ?deadline:Clock.deadline ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b outcome array
-
-(** {1 Fault-isolated maps}
-
-    The isolated variants never let one task's failure touch its
-    siblings: instead of the fail-fast drain-and-re-raise contract, each
-    task gets its own {!task_outcome} slot. Failures classified
-    transient by the {!Retry} policy are retried in place (bounded,
-    deterministic backoff through the policy's injectable sleep);
-    failures that survive the attempt budget are {e quarantined} — the
-    exception and backtrace land in the task's own [Failed] slot and the
-    queue keeps going. Results merge in input order, so [jobs <= 1] with
-    no failures is bit-identical to {!map_array}.
-
-    With a live sink, each region additionally counts
-    [pool.<label>.retries] (total extra attempts) and
-    [pool.<label>.quarantined] (tasks that exhausted the budget), and
-    emits one summarizing event per retried or quarantined task
-    ([pool.task_retried] / [pool.task_quarantined]) — never one per
-    attempt, so retry storms cannot flood the event log.
-
-    Each task body also runs a {!Chaos.point}[ Pool_task] hook (inside
-    the retried thunk, so one-shot injections are absorbed by the
-    retry); a [Cancel] action trips the map's own token. *)
-
-(** Per-task outcome of an isolated map, in input order: the task's
-    result, its final failure after retries (quarantined), or
-    [Cancelled] because the queue was drained before it was claimed.
-    Namespaced in a submodule so the constructors never shadow stdlib
-    [Ok] or {!outcome}'s [Cancelled]. *)
-module Task : sig
-  type 'a outcome =
-    | Ok of 'a
-    | Failed of exn * Printexc.raw_backtrace
-    | Cancelled
-end
-
-(** [map_isolated ~jobs f xs] maps with per-task fault isolation and no
-    external cancellation: slots are only [Cancelled] if a chaos [Cancel]
-    injection trips the internal token. [retry] defaults to
-    {!Retry.default}. *)
-val map_isolated :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  ?retry:Retry.policy ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b Task.outcome array
-
-(** [map_cancellable_isolated] is {!map_isolated} with the cooperative
-    cancellation of {!map_cancellable}: unclaimed slots come back
-    [Cancelled] once [token] trips or [deadline] expires, but a failing
-    task is quarantined in its own slot instead of draining the queue. *)
-val map_cancellable_isolated :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  ?retry:Retry.policy ->
-  ?token:token ->
-  ?deadline:Clock.deadline ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b Task.outcome array

@@ -23,7 +23,7 @@ let default_transient = function
   | _ -> false
 
 (* 1ms, 2ms, 4ms, ... capped at 50ms: enough to step over a transient
-   I/O hiccup without stalling a drained pool worker for long. *)
+   I/O hiccup without stalling the flow for long. *)
 let default_backoff k = Float.min 0.05 (0.001 *. (2.0 ** float_of_int (k - 1)))
 
 let default =
@@ -34,21 +34,17 @@ let default =
     sleep = Unix.sleepf;
   }
 
-let no_retry = { default with attempts = 1 }
-
-let run_count ?(policy = default) f =
+let run ?(policy = default) f =
   let attempts = max 1 policy.attempts in
   let rec go k =
     match f () with
-    | y -> (Ok y, k)
+    | y -> Ok y
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       if k < attempts && policy.transient e then begin
         policy.sleep (policy.backoff k);
         go (k + 1)
       end
-      else ((Error (e, bt) : (_, exn * Printexc.raw_backtrace) result), k)
+      else (Error (e, bt) : (_, exn * Printexc.raw_backtrace) result)
   in
   go 1
-
-let run ?policy f = fst (run_count ?policy f)

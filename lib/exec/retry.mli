@@ -29,18 +29,8 @@ val default_backoff : int -> float
     [Unix.sleepf]. *)
 val default : policy
 
-(** {!default} with [attempts = 1]: classify-and-capture only. *)
-val no_retry : policy
-
 (** [run ?policy f] runs [f] under the policy (default {!default}). *)
 val run :
   ?policy:policy ->
   (unit -> 'a) ->
   ('a, exn * Printexc.raw_backtrace) result
-
-(** [run_count] is {!run} paired with the number of attempts made —
-    callers use [attempts - 1] as the retry count for metrics. *)
-val run_count :
-  ?policy:policy ->
-  (unit -> 'a) ->
-  ('a, exn * Printexc.raw_backtrace) result * int

@@ -3,40 +3,6 @@ open Fst_netlist
 
 type stimulus = (int * V3.t) list array
 
-module type MACHINE = sig
-  type t
-
-  val set_input : Circuit.t -> t -> int -> V3.t -> unit
-  val eval_comb : Circuit.t -> t -> unit
-  val clock : Circuit.t -> t -> unit
-end
-
-module Drive (M : MACHINE) = struct
-  let apply c m assigns = List.iter (fun (n, v) -> M.set_input c m n v) assigns
-
-  let run_until c m (stim : stimulus) ~observe =
-    let cycles = Array.length stim in
-    let rec loop t =
-      if t >= cycles then None
-      else begin
-        apply c m stim.(t);
-        M.eval_comb c m;
-        if observe t then Some t
-        else begin
-          M.clock c m;
-          loop (t + 1)
-        end
-      end
-    in
-    loop 0
-
-  let run c m stim ~observe =
-    ignore
-      (run_until c m stim ~observe:(fun t ->
-           observe t;
-           false))
-end
-
 type state = { v : V3.t array; latch_buf : V3.t array }
 
 let create (c : Circuit.t) =
@@ -84,17 +50,11 @@ let clock (c : Circuit.t) st =
 
 let outputs (c : Circuit.t) st = Array.map (fun o -> st.v.(o)) c.Circuit.outputs
 
-module Machine = struct
-  type t = state
-
-  let set_input = set_input
-  let eval_comb = eval_comb
-  let clock = clock
-end
-
-module Driver = Drive (Machine)
-
 let run c ~cycles ~stimulus ~observe =
   let st = create c in
-  let stim = Array.init cycles stimulus in
-  Driver.run c st stim ~observe:(fun t -> observe t st)
+  for t = 0 to cycles - 1 do
+    List.iter (fun (n, v) -> set_input c st n v) (stimulus t);
+    eval_comb c st;
+    observe t st;
+    clock c st
+  done

@@ -12,35 +12,6 @@ open Fst_netlist
     inputs). Unassigned nets hold their previous value, starting from [X]. *)
 type stimulus = (int * V3.t) list array
 
-(** The minimal machine interface shared by every simulator in the project:
-    the good-machine sweep simulator below, and the serial and bit-parallel
-    faulty machines of [Fst_fsim]. A machine can have inputs applied, its
-    combinational logic settled, and its clock ticked. *)
-module type MACHINE = sig
-  type t
-
-  val set_input : Circuit.t -> t -> int -> V3.t -> unit
-  val eval_comb : Circuit.t -> t -> unit
-  val clock : Circuit.t -> t -> unit
-end
-
-(** The one stimulus/observe/clock driver loop shared by all machines. *)
-module Drive (M : MACHINE) : sig
-  (** [apply c m assigns] applies one cycle's input assignments. *)
-  val apply : Circuit.t -> M.t -> (int * V3.t) list -> unit
-
-  (** [run_until c m stim ~observe] drives [m] cycle by cycle: apply
-      [stim.(t)], settle combinational logic, call [observe t]. If the
-      observer returns [true] the loop stops (before clocking) and returns
-      [Some t]; otherwise the clock ticks and the next cycle runs. Returns
-      [None] when the stimulus is exhausted. *)
-  val run_until : Circuit.t -> M.t -> stimulus -> observe:(int -> bool) -> int option
-
-  (** [run c m stim ~observe] drives the whole stimulus, observing every
-      cycle. *)
-  val run : Circuit.t -> M.t -> stimulus -> observe:(int -> unit) -> unit
-end
-
 type state
 
 val create : Circuit.t -> state

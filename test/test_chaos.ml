@@ -1,11 +1,9 @@
 (* The deterministic chaos-injection harness: plan semantics, counter
-   snapshot/restore, and its interaction with Retry and the isolated
-   pool maps. Every test clears the global harness on exit — a leaked
+   snapshot/restore, and its interaction with Retry. Every test clears the global harness on exit — a leaked
    plan would poison unrelated suites. *)
 
 module Chaos = Fst_exec.Chaos
 module Retry = Fst_exec.Retry
-module Pool = Fst_exec.Pool
 
 let with_plan plan f =
   Chaos.install plan;
@@ -43,21 +41,21 @@ let test_point_fires_at_sequence () =
       Alcotest.(check bool) "hit 3 clean" true (Chaos.point Chaos.Engine = `Ok);
       (* Other sites keep independent counters. *)
       Alcotest.(check bool) "other site untouched" true
-        (Chaos.point Chaos.Pool_task = `Ok))
+        (Chaos.point Chaos.Step3_plan = `Ok))
 
 let test_cancel_and_delay () =
   with_plan
     [
-      { Chaos.site = Chaos.Pool_task; at = 0; action = Chaos.Cancel };
+      { Chaos.site = Chaos.Step3_plan; at = 0; action = Chaos.Cancel };
       (* An absurd delay must be clamped to [max_delay]. *)
-      { Chaos.site = Chaos.Pool_task; at = 1; action = Chaos.Delay 1000.0 };
+      { Chaos.site = Chaos.Step3_plan; at = 1; action = Chaos.Delay 1000.0 };
     ]
     (fun () ->
       Alcotest.(check bool) "cancel surfaces" true
-        (Chaos.point Chaos.Pool_task = `Cancel);
+        (Chaos.point Chaos.Step3_plan = `Cancel);
       let t0 = Fst_exec.Clock.now () in
       Alcotest.(check bool) "delay returns Ok" true
-        (Chaos.point Chaos.Pool_task = `Ok);
+        (Chaos.point Chaos.Step3_plan = `Ok);
       Alcotest.(check bool) "delay clamped" true
         (Fst_exec.Clock.now () -. t0 < 10.0 *. Chaos.max_delay +. 0.5))
 
@@ -84,47 +82,43 @@ let test_injected_is_transient () =
   Alcotest.(check bool) "Retry classifies it transient" true
     (Retry.default.Retry.transient (Chaos.Injected "engine#0"))
 
-(* A one-shot injection at the pool-task site is absorbed by the retry;
-   the map still returns all-Ok. *)
-let test_pool_retry_absorbs_one_shot () =
-  with_plan
-    [ { Chaos.site = Chaos.Pool_task; at = 1; action = Chaos.Raise } ]
-    (fun () ->
-      let got =
-        Pool.map_isolated ~jobs:1 ~retry:fast_retry Fun.id [| 0; 1; 2; 3 |]
-      in
-      Array.iteri
-        (fun i o ->
-          Alcotest.(check bool)
-            (Printf.sprintf "slot %d ok" i)
-            true
-            (o = Pool.Task.Ok i))
-        got)
+(* The step-3 planning pattern: the chaos hook sits inside the retried
+   thunk, so a one-shot injection is absorbed by the retry. *)
+let planned_call () =
+  Retry.run ~policy:fast_retry (fun () ->
+      (match Chaos.point Chaos.Step3_plan with `Ok | `Cancel -> ());
+      7)
 
-(* A plan that keeps firing defeats the retries: every task is
-   quarantined with the injected exception, none of them drains the
-   queue. *)
-let test_pool_repeated_injection_quarantines () =
+let test_retry_absorbs_one_shot () =
+  with_plan
+    [ { Chaos.site = Chaos.Step3_plan; at = 1; action = Chaos.Raise } ]
+    (fun () ->
+      for call = 0 to 3 do
+        Alcotest.(check bool)
+          (Printf.sprintf "call %d ok" call)
+          true
+          (match planned_call () with Ok 7 -> true | _ -> false)
+      done)
+
+(* A plan that keeps firing defeats the retries: every call comes back
+   [Error] with the injected exception instead of raising. *)
+let test_repeated_injection_quarantines () =
   with_plan
     (List.init 32 (fun at ->
-         { Chaos.site = Chaos.Pool_task; at; action = Chaos.Raise }))
+         { Chaos.site = Chaos.Step3_plan; at; action = Chaos.Raise }))
     (fun () ->
-      let got =
-        Pool.map_isolated ~jobs:1 ~retry:fast_retry Fun.id [| 0; 1; 2 |]
-      in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Pool.Task.Failed (e, _) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "slot %d injected" i)
-              true (Chaos.is_injected e)
-          | _ -> Alcotest.failf "slot %d should be quarantined" i)
-        got)
+      for call = 0 to 2 do
+        match planned_call () with
+        | Error (e, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "call %d injected" call)
+            true (Chaos.is_injected e)
+        | Ok _ -> Alcotest.failf "call %d should be quarantined" call
+      done)
 
 let test_site_names_and_pp () =
-  Alcotest.(check string) "pool-task" "pool-task"
-    (Chaos.site_name Chaos.Pool_task);
+  Alcotest.(check string) "step3-plan" "step3-plan"
+    (Chaos.site_name Chaos.Step3_plan);
   Alcotest.(check string) "engine" "engine" (Chaos.site_name Chaos.Engine);
   Alcotest.(check string) "ckpt-save" "ckpt-save"
     (Chaos.site_name Chaos.Ckpt_save);
@@ -147,9 +141,9 @@ let suite =
     Alcotest.test_case "snapshot/restore replays" `Quick test_snapshot_restore;
     Alcotest.test_case "Injected is transient" `Quick test_injected_is_transient;
     Alcotest.test_case "retry absorbs one-shot injection" `Quick
-      test_pool_retry_absorbs_one_shot;
+      test_retry_absorbs_one_shot;
     Alcotest.test_case "repeated injection quarantines" `Quick
-      test_pool_repeated_injection_quarantines;
+      test_repeated_injection_quarantines;
     Alcotest.test_case "site names and plan printing" `Quick
       test_site_names_and_pp;
   ]

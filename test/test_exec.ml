@@ -6,6 +6,12 @@ exception Boom of int
 
 let squares n = Array.init n (fun i -> i)
 
+(* A plain parallel map: [map_array_init] with a unit context. *)
+let map ?obs ?label ?chunk ?work ~jobs f xs =
+  Pool.map_array_init ?obs ?label ?chunk ?work ~jobs ~init:ignore
+    (fun () x -> f x)
+    xs
+
 let test_deterministic_order () =
   List.iter
     (fun jobs ->
@@ -13,28 +19,18 @@ let test_deterministic_order () =
         (fun n ->
           let xs = squares n in
           let expect = Array.map (fun x -> x * x) xs in
-          let got = Pool.map_array ~jobs (fun x -> x * x) xs in
+          let got = map ~jobs (fun x -> x * x) xs in
           Alcotest.(check (array int))
             (Printf.sprintf "jobs=%d n=%d" jobs n)
             expect got)
         [ 0; 1; 2; 3; 7; 63; 200 ])
     [ 1; 2; 4; 8 ]
 
-let test_map_list () =
-  Alcotest.(check (list int))
-    "map_list" [ 2; 4; 6 ]
-    (Pool.map_list ~jobs:4 (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Alcotest.(check (list int)) "empty" [] (Pool.map_list ~jobs:4 Fun.id [])
-
-let test_mapi () =
-  let got = Pool.mapi_array ~jobs:3 (fun i x -> (i * 10) + x) [| 5; 6; 7 |] in
-  Alcotest.(check (array int)) "mapi" [| 5; 16; 27 |] got
-
 let test_exception_propagates () =
   List.iter
     (fun jobs ->
       match
-        Pool.map_array ~jobs
+        map ~jobs
           (fun x -> if x mod 5 = 3 then raise (Boom x) else x)
           (squares 40)
       with
@@ -45,9 +41,9 @@ let test_exception_propagates () =
 
 let test_chunk_override () =
   let xs = squares 17 in
-  let got = Pool.map_array ~chunk:1 ~jobs:4 (fun x -> x + 1) xs in
+  let got = map ~chunk:1 ~jobs:4 (fun x -> x + 1) xs in
   Alcotest.(check (array int)) "chunk=1" (Array.map (fun x -> x + 1) xs) got;
-  let got = Pool.map_array ~chunk:100 ~jobs:4 (fun x -> x + 1) xs in
+  let got = map ~chunk:100 ~jobs:4 (fun x -> x + 1) xs in
   Alcotest.(check (array int))
     "chunk>n" (Array.map (fun x -> x + 1) xs) got
 
@@ -56,7 +52,7 @@ let test_chunk_override () =
 let test_order_independent_of_duration () =
   let n = 24 in
   let got =
-    Pool.map_array ~jobs:4
+    map ~jobs:4
       (fun i ->
         (* Earlier indices spin longer, so completion order is reversed. *)
         let spin = (n - i) * 2000 in
@@ -76,7 +72,7 @@ let prop_matches_sequential =
     (fun (jobs, xs) ->
       let xs = Array.of_list xs in
       let f x = (x * 31) lxor 5 in
-      Pool.map_array ~jobs:(jobs + 1) f xs = Array.map f xs)
+      map ~jobs:(jobs + 1) f xs = Array.map f xs)
 
 (* --- work stealing, min-work fallback, per-domain contexts ------------- *)
 
@@ -97,7 +93,7 @@ let test_steal_unblocks_stuck_owner () =
   let obs = Fst_obs.Sink.create ~metrics () in
   let flag = Atomic.make false in
   let got =
-    Pool.map_array ~obs ~label:"steal" ~jobs:2 ~chunk:1
+    map ~obs ~label:"steal" ~jobs:2 ~chunk:1
       (fun x ->
         if x = 0 then
           while not (Atomic.get flag) do
@@ -124,7 +120,7 @@ let test_min_work_runs_in_caller () =
   let self = Domain.self () in
   let ran_here = ref true in
   let got =
-    Pool.map_array ~jobs:8 ~work:(Pool.min_work - 1)
+    map ~jobs:8 ~work:(Pool.min_work - 1)
       (fun x ->
         if Domain.self () <> self then ran_here := false;
         x + 1)
@@ -143,7 +139,7 @@ let test_min_work_runs_in_caller () =
     let first = Atomic.make None in
     let deadline = Clock.after 10.0 in
     ignore
-      (Pool.map_array ~jobs:4 ~chunk:1 ~work:Pool.min_work
+      (map ~jobs:4 ~chunk:1 ~work:Pool.min_work
          (fun x ->
            let me = Domain.self () in
            (match Atomic.get first with
@@ -170,7 +166,7 @@ let test_jobs_clamped_to_cores () =
     then note me
   in
   let got =
-    Pool.map_array ~jobs:64 ~chunk:1
+    map ~jobs:64 ~chunk:1
       (fun x ->
         note (Domain.self ());
         x + 3)
@@ -219,315 +215,60 @@ let test_map_array_init_context_per_domain () =
        (squares 5));
   Alcotest.(check int) "jobs=1 creates one context" 1 !count
 
-(* --- cooperative cancellation ------------------------------------------ *)
-
-let test_cancellable_no_stop () =
-  List.iter
-    (fun jobs ->
-      let got = Pool.map_cancellable ~jobs (fun x -> x * x) (squares 30) in
-      Alcotest.(check (array int))
-        (Printf.sprintf "all done jobs=%d" jobs)
-        (Array.map (fun x -> x * x) (squares 30))
-        (Array.map
-           (function Pool.Done y -> y | Pool.Cancelled -> -1)
-           got))
-    [ 1; 4 ]
-
-(* Sequential path: the stop flag is checked between tasks, so the [Done]
-   prefix is exactly the tasks that ran before the cancel. *)
-let test_cancel_exact_prefix () =
-  let tok = Pool.token () in
-  let got =
-    Pool.map_cancellable ~jobs:1 ~token:tok
-      (fun x ->
-        if x = 5 then Pool.cancel tok;
-        x * 2)
-      (squares 12)
-  in
-  Array.iteri
-    (fun i o ->
-      let expect = if i <= 5 then Pool.Done (i * 2) else Pool.Cancelled in
-      Alcotest.(check bool) (Printf.sprintf "slot %d" i) true (o = expect))
-    got
-
-let test_expired_deadline_drains_everything () =
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.map_cancellable ~jobs ~deadline:(Clock.after (-1.0))
-          (fun x -> x)
-          (squares 20)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "all cancelled jobs=%d" jobs)
-        true
-        (Array.for_all (fun o -> o = Pool.Cancelled) got))
-    [ 1; 2; 4 ]
-
-(* Tasks that block until the deadline expires: the claimed ones finish,
-   and everything behind them in the queue comes back [Cancelled]. *)
-let test_blocking_tasks_respect_deadline () =
-  let deadline = Clock.after 0.05 in
-  let got =
-    Pool.map_cancellable ~jobs:2 ~chunk:1 ~deadline
-      (fun x ->
-        while not (Clock.expired deadline) do
-          Domain.cpu_relax ()
-        done;
-        x)
-      (squares 6)
-  in
-  let done_count =
-    Array.fold_left
-      (fun n o -> match o with Pool.Done _ -> n + 1 | Pool.Cancelled -> n)
-      0 got
-  in
-  (* Only the tasks claimed before the deadline ran (at most one per
-     domain, since each blocks until expiry). Each worker owns a
-     contiguous range of the index space and claims its own range first,
-     so the finished slots can only be the heads of the two worker
-     ranges; everything else drained [Cancelled]. *)
-  Alcotest.(check bool) "some but not all tasks ran" true
-    (done_count >= 1 && done_count <= 2);
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Pool.Done v ->
-        Alcotest.(check int) (Printf.sprintf "slot %d value" i) i v;
-        Alcotest.(check bool)
-          (Printf.sprintf "slot %d is a range head" i)
-          true
-          (i = 0 || i = 3)
-      | Pool.Cancelled -> ())
-    got
-
-(* A raising task cancels the shared token (draining the queue) and its
-   exception is re-raised after the join, wrapped in [Task_failed] with
-   the failing task's input index. *)
-let test_failing_task_cancels_token () =
-  List.iter
-    (fun jobs ->
-      let tok = Pool.token () in
-      (match
-         Pool.map_cancellable ~jobs ~chunk:1 ~token:tok
-           (fun x -> if x = 7 then raise (Boom x) else x)
-           (squares 40)
-       with
-       | _ -> Alcotest.failf "jobs=%d: expected Task_failed" jobs
-       | exception Pool.Task_failed (i, Boom v) ->
-         Alcotest.(check int) "failure index" 7 i;
-         Alcotest.(check int) "failure payload" 7 v);
-      Alcotest.(check bool)
-        (Printf.sprintf "token tripped jobs=%d" jobs)
-        true (Pool.cancelled tok))
-    [ 1; 2; 8 ]
-
-(* Fault injection: wherever the cancel lands and whatever [jobs] is, every
-   [Done] slot carries the result for its own input (partial results are in
-   input order), and the task that tripped the token always completed. *)
-let prop_cancel_partial_results_ordered =
-  Q.Test.make ~name:"cancellation keeps partial results in input order"
-    ~count:100
-    Q.(triple (int_bound 7) (int_bound 60) (int_bound 60))
-    (fun (jobs, n, cancel_at) ->
-      let jobs = jobs + 1 and n = n + 1 in
-      let cancel_at = cancel_at mod n in
-      let tok = Pool.token () in
-      let got =
-        Pool.map_cancellable ~jobs ~token:tok
-          (fun x ->
-            if x = cancel_at then Pool.cancel tok;
-            (x * 13) lxor 3)
-          (squares n)
-      in
-      let ok =
-        ref
-          (Array.length got = n
-          && got.(cancel_at) = Pool.Done ((cancel_at * 13) lxor 3))
-      in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Pool.Done y -> if y <> (i * 13) lxor 3 then ok := false
-          | Pool.Cancelled -> ())
-        got;
-      !ok)
-
-(* Fault injection: a raising task at a random position always surfaces its
-   own exception, and the sequential path records the exact prefix. *)
-let prop_raise_drains_queue =
-  Q.Test.make ~name:"raising task drains the queue deterministically"
-    ~count:100
-    Q.(pair (int_bound 40) (int_bound 40))
-    (fun (n, boom_at) ->
-      let n = n + 1 in
-      let boom_at = boom_at mod n in
-      match
-        Pool.map_cancellable ~jobs:1
-          (fun x -> if x = boom_at then raise (Boom x) else x)
-          (squares n)
-      with
-      | _ -> false
-      | exception Pool.Task_failed (i, Boom v) -> i = boom_at && v = boom_at)
-
-(* --- fault-isolated maps ------------------------------------------------ *)
+(* --- bounded retry ------------------------------------------------------- *)
 
 module Retry = Fst_exec.Retry
 
 (* Test policy: identical semantics, no real backoff sleeping. *)
 let fast_retry = { Retry.default with Retry.sleep = (fun _ -> ()) }
 
-let test_isolated_all_ok () =
-  List.iter
-    (fun jobs ->
-      let got = Pool.map_isolated ~jobs (fun x -> x * x) (squares 20) in
-      Array.iteri
-        (fun i o ->
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs=%d slot %d" jobs i)
-            true
-            (o = Pool.Task.Ok (i * i)))
-        got)
-    [ 1; 4 ]
-
-(* The whole point of isolation: a poison task lands in its own slot as
-   [Failed] and its siblings still complete. *)
-let test_isolated_poison_quarantined () =
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.map_isolated ~jobs ~retry:Retry.no_retry
-          (fun x -> if x mod 7 = 3 then raise (Boom x) else x)
-          (squares 20)
-      in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Pool.Task.Ok v ->
-            Alcotest.(check int) (Printf.sprintf "slot %d value" i) i v;
-            Alcotest.(check bool)
-              (Printf.sprintf "slot %d should have failed" i)
-              false (i mod 7 = 3)
-          | Pool.Task.Failed (Boom v, _) ->
-            Alcotest.(check int) (Printf.sprintf "slot %d payload" i) i v;
-            Alcotest.(check bool)
-              (Printf.sprintf "slot %d should have succeeded" i)
-              true (i mod 7 = 3)
-          | _ -> Alcotest.failf "slot %d unexpected outcome" i)
-        got)
-    [ 1; 4 ]
-
 (* A transient failure is retried within the bounded attempt budget and
-   the task still comes back [Ok]; clean tasks run exactly once. *)
-let test_isolated_retry_transient () =
-  let tries = Array.make 10 0 in
+   the call still comes back [Ok]; a clean call runs exactly once. *)
+let test_retry_transient () =
   let policy =
     { fast_retry with Retry.attempts = 3; transient = (fun _ -> true) }
   in
+  let tries = ref 0 in
   let got =
-    Pool.map_isolated ~jobs:1 ~retry:policy
-      (fun x ->
-        tries.(x) <- tries.(x) + 1;
-        if x = 4 && tries.(x) < 3 then raise (Boom x) else x)
-      (squares 10)
+    Retry.run ~policy (fun () ->
+        incr tries;
+        if !tries < 3 then raise (Boom !tries) else 42)
   in
-  Array.iteri
-    (fun i o ->
-      Alcotest.(check bool)
-        (Printf.sprintf "slot %d ok" i)
-        true
-        (o = Pool.Task.Ok i))
-    got;
-  Alcotest.(check int) "flaky task used its attempts" 3 tries.(4);
-  Alcotest.(check int) "clean task ran once" 1 tries.(0)
+  Alcotest.(check bool) "flaky call ends Ok" true (got = Ok 42);
+  Alcotest.(check int) "flaky call used its attempts" 3 !tries;
+  let clean = ref 0 in
+  ignore (Retry.run ~policy (fun () -> incr clean));
+  Alcotest.(check int) "clean call ran once" 1 !clean
 
-let test_isolated_retry_exhausted () =
+(* A failure that outlives the budget, and a poison failure at once, come
+   back as [Error] carrying the exception instead of being raised. *)
+let test_retry_exhausted () =
   let tries = ref 0 in
   let policy =
     { fast_retry with Retry.attempts = 2; transient = (fun _ -> true) }
   in
-  let got =
-    Pool.map_isolated ~jobs:1 ~retry:policy
-      (fun x ->
-        if x = 2 then begin
-          incr tries;
-          raise (Boom x)
-        end
-        else x)
-      (squares 5)
-  in
+  (match
+     Retry.run ~policy (fun () ->
+         incr tries;
+         raise (Boom 2))
+   with
+   | Error (Boom 2, _) -> ()
+   | _ -> Alcotest.fail "exhausted call should be Error (Boom 2)");
   Alcotest.(check int) "attempts bounded" 2 !tries;
-  Array.iteri
-    (fun i o ->
-      if i = 2 then
-        match o with
-        | Pool.Task.Failed (Boom 2, _) -> ()
-        | _ -> Alcotest.fail "poison slot should be Failed (Boom 2)"
-      else
-        Alcotest.(check bool)
-          (Printf.sprintf "slot %d ok" i)
-          true
-          (o = Pool.Task.Ok i))
-    got
-
-let test_isolated_expired_deadline_cancels () =
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.map_cancellable_isolated ~jobs ~deadline:(Clock.after (-1.0))
-          (fun x -> x)
-          (squares 12)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "all cancelled jobs=%d" jobs)
-        true
-        (Array.for_all (fun o -> o = Pool.Task.Cancelled) got))
-    [ 1; 4 ]
-
-(* Outcomes are merged in input order regardless of jobs, and for a pure
-   function the isolated map agrees with the plain one. *)
-let prop_isolated_matches_map =
-  Q.Test.make ~name:"isolated map matches plain map for pure tasks"
-    ~count:100
-    Q.(pair (int_bound 7) (int_bound 80))
-    (fun (jobs, n) ->
-      let jobs = jobs + 1 in
-      let xs = squares n in
-      let expect = Array.map (fun x -> (x * 31) lxor 5) xs in
-      let got = Pool.map_isolated ~jobs (fun x -> (x * 31) lxor 5) xs in
-      Array.length got = n
-      && Array.for_all2 (fun o e -> o = Pool.Task.Ok e) got expect)
-
-(* Fault injection over random poison sets: every poison index is
-   [Failed] with its own exception, everything else is [Ok] — no
-   cross-contamination at any [jobs]. *)
-let prop_isolated_poison_set =
-  Q.Test.make ~name:"isolated map quarantines exactly the poison set"
-    ~count:100
-    Q.(triple (int_bound 7) (int_bound 40) (int_bound 1000))
-    (fun (jobs, n, mask) ->
-      let jobs = jobs + 1 and n = n + 1 in
-      let poison i = (mask lsr (i mod 10)) land 1 = 1 in
-      let got =
-        Pool.map_isolated ~jobs ~retry:Retry.no_retry
-          (fun x -> if poison x then raise (Boom x) else x)
-          (squares n)
-      in
-      Array.length got = n
-      && Array.for_all
-           (fun o ->
-             match o with
-             | Pool.Task.Ok v -> not (poison v)
-             | Pool.Task.Failed (Boom v, _) -> poison v
-             | _ -> false)
-           got)
+  tries := 0;
+  (match
+     Retry.run ~policy:fast_retry (fun () ->
+         incr tries;
+         raise (Boom 3))
+   with
+   | Error (Boom 3, _) -> ()
+   | _ -> Alcotest.fail "poison call should be Error (Boom 3)");
+  Alcotest.(check int) "poison is not retried" 1 !tries
 
 let suite =
   [
     Alcotest.test_case "deterministic merge order" `Quick
       test_deterministic_order;
-    Alcotest.test_case "map_list" `Quick test_map_list;
-    Alcotest.test_case "mapi_array" `Quick test_mapi;
     Alcotest.test_case "exception propagation" `Quick
       test_exception_propagates;
     Alcotest.test_case "chunk override" `Quick test_chunk_override;
@@ -542,27 +283,8 @@ let suite =
       test_jobs_clamped_to_cores;
     Alcotest.test_case "map_array_init context per domain" `Quick
       test_map_array_init_context_per_domain;
-    Alcotest.test_case "cancellable without stop = map" `Quick
-      test_cancellable_no_stop;
-    Alcotest.test_case "cancel gives exact sequential prefix" `Quick
-      test_cancel_exact_prefix;
-    Alcotest.test_case "expired deadline drains everything" `Quick
-      test_expired_deadline_drains_everything;
-    Alcotest.test_case "blocking tasks respect deadline" `Quick
-      test_blocking_tasks_respect_deadline;
-    Alcotest.test_case "failing task cancels token" `Quick
-      test_failing_task_cancels_token;
-    Helpers.qcheck prop_cancel_partial_results_ordered;
-    Helpers.qcheck prop_raise_drains_queue;
-    Alcotest.test_case "isolated map all ok" `Quick test_isolated_all_ok;
-    Alcotest.test_case "isolated map quarantines poison" `Quick
-      test_isolated_poison_quarantined;
-    Alcotest.test_case "isolated map retries transients" `Quick
-      test_isolated_retry_transient;
-    Alcotest.test_case "isolated map bounds retry attempts" `Quick
-      test_isolated_retry_exhausted;
-    Alcotest.test_case "isolated map honors deadline" `Quick
-      test_isolated_expired_deadline_cancels;
-    Helpers.qcheck prop_isolated_matches_map;
-    Helpers.qcheck prop_isolated_poison_set;
+    Alcotest.test_case "retry absorbs transient failures" `Quick
+      test_retry_transient;
+    Alcotest.test_case "retry bounds its attempts" `Quick
+      test_retry_exhausted;
   ]

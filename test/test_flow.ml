@@ -13,26 +13,34 @@ let quick_config =
     |> with_final_backtrack 500 |> with_frames [ 1; 2 ]
     |> with_final_frames [ 1; 2; 4 ])
 
-(* Multicore dispatch: step 2 is bit-identical for any [jobs]; step 3's
-   wave scheduling may only move credit between buckets, never lose
-   faults. *)
+(* The report as printed, with the wall-clock lines (the only
+   run-to-run variation) removed. *)
+let report_text r =
+  Fst_report.Flow_report.(to_text (of_result r))
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> not (List.mem "CPU" (String.split_on_char ' ' l)))
+  |> String.concat "\n"
+
+(* [jobs] only sizes fault simulation, whose results are identical for
+   every value, and step 3 is one sequential group loop: the whole result
+   is jobs-invariant. *)
 let test_flow_jobs () =
   let scanned, config = scan_small 11L in
   let r1 = Flow.run ~config:Config.(quick_config |> with_jobs 1) scanned config in
   let r3 = Flow.run ~config:Config.(quick_config |> with_jobs 3) scanned config in
-  Alcotest.(check int) "step2 detected" r1.Flow.step2.Flow.detected
-    r3.Flow.step2.Flow.detected;
-  Alcotest.(check int) "step2 untestable" r1.Flow.step2.Flow.untestable
-    r3.Flow.step2.Flow.untestable;
-  Alcotest.(check int) "step2 undetected" r1.Flow.step2.Flow.undetected
-    r3.Flow.step2.Flow.undetected;
-  Alcotest.(check int) "step2 vectors" r1.Flow.step2.Flow.vectors
-    r3.Flow.step2.Flow.vectors;
-  Alcotest.(check int) "step3 partition" r3.Flow.step2.Flow.undetected
-    (r3.Flow.step3.Flow.detected + r3.Flow.step3.Flow.untestable
-   + r3.Flow.step3.Flow.undetected);
-  Alcotest.(check int) "undetected list matches" r3.Flow.step3.Flow.undetected
-    (List.length r3.Flow.undetected)
+  let names fs = List.map (Fst_fault.Fault.to_string scanned) fs in
+  Alcotest.(check string) "report" (report_text r1) (report_text r3);
+  Alcotest.(check (list string)) "undetected" (names r1.Flow.undetected)
+    (names r3.Flow.undetected);
+  Alcotest.(check (list string)) "untestable"
+    (names r1.Flow.untestable_faults)
+    (names r3.Flow.untestable_faults);
+  Alcotest.(check (list string)) "aborted" (names r1.Flow.aborted)
+    (names r3.Flow.aborted);
+  Alcotest.(check (list string)) "chain detected"
+    (names (Flow.chain_detected_faults r1))
+    (names (Flow.chain_detected_faults r3));
+  Alcotest.(check bool) "atpg stats" true (r1.Flow.atpg = r3.Flow.atpg)
 
 let test_flow_bookkeeping () =
   let scanned, config = scan_small 7L in
@@ -198,8 +206,8 @@ let fault_names scanned fs =
    run to reproduce the uninterrupted one bit for bit. *)
 let test_kill_and_resume_round_trip () =
   let scanned, config = scan_small 7L in
-  (* Cripple step 2 so that survivors reach the step-3 waves (otherwise
-     there is no "step3-wave" checkpoint to interrupt). *)
+  (* Cripple step 2 so that survivors reach the step-3 groups (otherwise
+     there is no "step3-group" checkpoint to interrupt). *)
   let config_q =
     Config.(
       quick_config |> with_jobs 1 |> with_comb_backtrack 1
@@ -242,7 +250,7 @@ let test_kill_and_resume_round_trip () =
         (stage ^ ": curve identical")
         true
         (resumed.Flow.step2.Flow.curve = reference.Flow.step2.Flow.curve))
-    [ "classify"; "step2-atpg"; "step2-fsim"; "step3-wave" ]
+    [ "classify"; "step2-atpg"; "step2-fsim"; "step3-group" ]
 
 (* A checkpoint written for one circuit must be ignored when resuming on
    another: the run falls back to a fresh flow instead of mixing state. *)
@@ -260,6 +268,50 @@ let test_checkpoint_fingerprint_mismatch () =
   Sys.remove path;
   Alcotest.(check bool) "mismatched checkpoint ignored" true
     (counts resumed = counts fresh)
+
+(* [jobs] is not part of the checkpoint fingerprint: a run killed at a
+   step-3 group checkpoint under jobs=2 resumes under jobs=1 and still
+   reproduces the uninterrupted run bit for bit. *)
+let test_kill_j2_resume_j1 () =
+  let scanned, config = scan_small 7L in
+  let config_q jobs =
+    Config.(
+      quick_config |> with_jobs jobs |> with_comb_backtrack 1
+      |> with_random_blocks 2)
+  in
+  let reference = Flow.run ~config:(config_q 1) scanned config in
+  let path = Filename.temp_file "fst-ckpt" ".bin" in
+  let killed = ref false in
+  (try
+     ignore
+       (Flow.run ~config:(config_q 2) ~checkpoint:path
+          ~on_checkpoint:(fun s ->
+            if s = "step3-group" && not !killed then begin
+              killed := true;
+              raise Killed
+            end)
+          scanned config)
+   with Killed -> ());
+  Alcotest.(check bool) "killed mid-step3" true !killed;
+  let loaded = ref false in
+  let resumed =
+    Flow.run ~config:(config_q 1) ~checkpoint:path ~resume:true
+      ~on_resume:(fun o -> loaded := o = `Loaded Checkpoint.Primary)
+      scanned config
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  (try Sys.remove (Checkpoint.prev_path path) with Sys_error _ -> ());
+  Alcotest.(check bool) "jobs=2 checkpoint loaded at jobs=1" true !loaded;
+  Alcotest.(check string) "report" (report_text reference)
+    (report_text resumed);
+  Alcotest.(check (list string)) "undetected identical"
+    (fault_names scanned reference.Flow.undetected)
+    (fault_names scanned resumed.Flow.undetected);
+  Alcotest.(check (list string)) "untestable identical"
+    (fault_names scanned reference.Flow.untestable_faults)
+    (fault_names scanned resumed.Flow.untestable_faults);
+  Alcotest.(check bool) "atpg stats identical" true
+    (resumed.Flow.atpg = reference.Flow.atpg)
 
 (* --- keep-going containment and the chaos harness ----------------------- *)
 
@@ -295,8 +347,8 @@ let partition_holds r =
     + List.length r.Flow.aborted + List.length r.Flow.failed
 
 (* With chaos off, [`Keep_going] at jobs=1 is bit-identical to the
-   fail-fast seed path: the wave-structured step 3 commits exactly the
-   same stimuli, it only isolates differently on failure. *)
+   fail-fast path: both run the same step-3 group loop, keep-going only
+   wraps each planning call in a retry. *)
 let test_keep_going_chaos_off_identical () =
   let scanned, config = scan_small 7L in
   let ff = Flow.run ~config:Config.(quick_config |> with_jobs 1) scanned config in
@@ -310,14 +362,15 @@ let test_keep_going_chaos_off_identical () =
     (fault_names scanned kg.Flow.untestable_faults);
   Alcotest.(check (list string)) "no failed bucket" []
     (fault_names scanned kg.Flow.failed);
-  Alcotest.(check int) "accounting agrees" 0 kg.Flow.aborts.Flow.failed_faults
+  Alcotest.(check int) "accounting agrees" 0 kg.Flow.aborts.Flow.failed_faults;
+  Alcotest.(check bool) "atpg stats identical" true (kg.Flow.atpg = ff.Flow.atpg)
 
 (* QCheck generator for chaos plans, with free shrinking to a minimal
    failing injection set via the list shrinker. *)
 let plan_arb =
   let open Q.Gen in
   let inj =
-    oneofl [ Chaos.Pool_task; Chaos.Engine; Chaos.Ckpt_save; Chaos.Ckpt_load ]
+    oneofl [ Chaos.Step3_plan; Chaos.Engine; Chaos.Ckpt_save; Chaos.Ckpt_load ]
     >>= fun site ->
     int_bound 40 >>= fun at ->
     frequency
@@ -419,7 +472,7 @@ let test_corrupt_checkpoint_resume () =
          ignore
            (Flow.run ~config:config_q ~checkpoint:path
               ~on_checkpoint:(fun s ->
-                if s = "step3-wave" && not !killed then begin
+                if s = "step3-group" && not !killed then begin
                   killed := true;
                   raise Killed
                 end)
@@ -477,7 +530,7 @@ let test_chaos_kill_and_resume_deterministic () =
          ignore
            (Flow.run ~config:config_q ~checkpoint:path
               ~on_checkpoint:(fun s ->
-                if s = "step3-wave" && not !killed then begin
+                if s = "step3-group" && not !killed then begin
                   killed := true;
                   raise Killed
                 end)
@@ -527,6 +580,8 @@ let suite =
       test_kill_and_resume_round_trip;
     Alcotest.test_case "checkpoint fingerprint mismatch ignored" `Quick
       test_checkpoint_fingerprint_mismatch;
+    Alcotest.test_case "kill at jobs=2, resume at jobs=1" `Quick
+      test_kill_j2_resume_j1;
     Alcotest.test_case "keep-going without chaos is bit-identical" `Quick
       test_keep_going_chaos_off_identical;
     Helpers.qcheck prop_chaos_invariant_and_agreement;
