@@ -2,7 +2,7 @@
 
 .PHONY: all build test check static-check lint-smoke bench-smoke \
   perf-smoke degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
-  engine-matrix chaos-smoke analyze-smoke sca-smoke serve-smoke atpg-golden \
+  chaos-smoke analyze-smoke sca-smoke serve-smoke atpg-golden \
   flake-check clean
 
 all: build
@@ -31,7 +31,7 @@ flake-check: build
 # example netlist, and exercise the budget-degradation, checkpoint/resume,
 # and observability CLI paths.
 check: static-check build test lint-smoke bench-smoke perf-smoke \
-  degradation-smoke resume-smoke obs-smoke noop-sink-smoke engine-matrix \
+  degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
   chaos-smoke analyze-smoke sca-smoke serve-smoke atpg-golden
 
 # Type-check every library and executable (including ones @default would
@@ -64,10 +64,10 @@ lint-smoke: build
 bench-smoke:
 	FST_SCALE=0.02 dune exec -- bench/main.exe micro
 
-# Scaled-down fault-sim perf gate: re-measures the engine columns and
-# fails if bit-parallel is ever slower than serial on the same faults
-# (the committed BENCH_fsim.json is generated at a larger scale, so the
-# >20% regression comparison only arms when scales match — here the
+# Scaled-down fault-sim perf gate: re-measures the serial and bit-parallel
+# columns and fails if bit-parallel is ever slower than serial on the same
+# faults (the committed BENCH_fsim.json is generated at a larger scale, so
+# the >20% regression comparison only arms when scales match — here the
 # structural invariants still hold and bench/ rot is caught).
 perf-smoke:
 	FST_SCALE=0.02 dune exec -- bench/main.exe fsim --check
@@ -132,28 +132,6 @@ noop-sink-smoke: build
 	  { echo "noop-sink-smoke: instrumented report differs"; \
 	    rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "noop-sink-smoke: OK"
-
-# Every fault-simulation back-end must print the identical flow report
-# (timing lines filtered) on a real example and on a generated mid-size
-# circuit: the engine selector is a pure performance knob.
-engine-matrix: build
-	@tmp=`mktemp -d`; \
-	$(FST_EXE) gen --gates 400 --ffs 24 -o $$tmp/gen.net > /dev/null; \
-	for f in examples/data/counter4.net $$tmp/gen.net; do \
-	  for e in serial parallel event auto; do \
-	    $(FST_EXE) flow $$f -c 1 -j 1 --engine $$e | grep -v "CPU" \
-	      > $$tmp/`basename $$f`.$$e.txt || \
-	      { echo "engine-matrix: $$f --engine $$e failed"; \
-	        rm -rf $$tmp; exit 1; }; \
-	  done; \
-	  for e in parallel event auto; do \
-	    diff $$tmp/`basename $$f`.serial.txt $$tmp/`basename $$f`.$$e.txt || \
-	      { echo "engine-matrix: $$f: $$e differs from serial"; \
-	        rm -rf $$tmp; exit 1; }; \
-	  done; \
-	  echo "engine-matrix: `basename $$f` identical across engines"; \
-	done; \
-	rm -rf $$tmp; echo "engine-matrix: OK"
 
 # Seeded chaos injection under --keep-going must still produce a full
 # report whose buckets partition the hard faults (the flow self-checks
@@ -289,7 +267,8 @@ serve-smoke: build
 # Regenerate a golden file only for an intended change of results.
 GOLDEN_FLOWS := counter4:examples/data/counter4.net \
   gray3:examples/data/gray3.net \
-  s1423-0.25:-n_s1423_--scale_0.25
+  s1423-0.25:-n_s1423_--scale_0.25 \
+  s9234-0.1-c4:-n_s9234_--scale_0.1_-c_4
 GOLDEN_LEGS := -j_1 -j_2 -j_1_--keep-going
 atpg-golden: build
 	@tmp=`mktemp -d`; \

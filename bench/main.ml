@@ -26,25 +26,6 @@ type completed = { prep : prepared; flow : Flow.result }
 let scale = Fst_gen.Suite.scale_from_env ()
 let flow_config = Config.(default |> with_dist_floor_scale scale)
 
-(* [--engine NAME] after the subcommand picks the fault-sim engine for the
-   multicore benchmark columns (and is stamped into the BENCH_*.json docs). *)
-let bench_engine =
-  lazy
-    (let rec find i =
-       if i >= Array.length Sys.argv - 1 then None
-       else if Sys.argv.(i) = "--engine" then Some Sys.argv.(i + 1)
-       else find (i + 1)
-     in
-     match find 1 with
-     | None -> `Auto
-     | Some name -> (
-       match Config.engine_of_string name with
-       | Some e -> e
-       | None ->
-         failwith
-           (Printf.sprintf "unknown engine %S (expected one of %s)" name
-              (String.concat "|" Config.engine_names))))
-
 let prepare (entry : Fst_gen.Suite.entry) =
   let before = Fst_gen.Gen.generate entry.Fst_gen.Suite.profile in
   let scanned, config =
@@ -669,14 +650,13 @@ let ablate_rtpg () =
     "\nRandom vectors alone (the paper's partial-scan option) reach most but not\nall hard faults; deterministic ATPG closes the gap."
 
 (* ------------------------------------------------------------------ *)
-(* ------------------------------------------------------------------ *)
-(* Fault-simulation engine comparison, recorded as BENCH_fsim.json so  *)
-(* the perf trajectory is tracked across PRs. serial/event/parallel    *)
-(* are timed on the SAME one-group fault subset at jobs=1 — so         *)
-(* parallel_s <= serial_s is an apples-to-apples invariant — while the *)
-(* Auto engine runs the full collapsed fault set at jobs=1 and jobs=N. *)
-(* [fsim --check] re-measures and fails on a >20% serial/event         *)
-(* regression against the committed file or any parallel_s > serial_s. *)
+(* Fault-simulation benchmark, recorded as BENCH_fsim.json so the perf  *)
+(* trajectory is tracked across PRs. Serial and bit-parallel are timed  *)
+(* on the SAME one-group fault subset at jobs=1 — so parallel_s <=     *)
+(* serial_s is an apples-to-apples invariant — while Fsim.Engine runs   *)
+(* the full collapsed fault set at jobs=1 and jobs=N. [fsim --check]    *)
+(* re-measures and fails on a >20% serial regression against the       *)
+(* committed file or any parallel_s > serial_s.                         *)
 (* ------------------------------------------------------------------ *)
 
 let fsim_jobs () =
@@ -693,21 +673,10 @@ type fsim_row = {
   fr_serial_faults : int;
   fr_cycles : int;
   fr_serial_s : float;
-  fr_event_s : float;
   fr_parallel_s : float;
-  fr_auto1_s : float; (* negative when the Auto columns were skipped *)
-  fr_autoj_s : float;
+  fr_full1_s : float; (* negative when the full-set columns were skipped *)
+  fr_fullj_s : float;
 }
-
-(* Serial wall extrapolated from its one-group subset to the full fault
-   set, over the jobs=N Auto wall on that full set. *)
-let fsim_speedup r =
-  if r.fr_autoj_s <= 0.0 then 0.0
-  else
-    r.fr_serial_s
-    *. float_of_int r.fr_faults
-    /. float_of_int (max 1 r.fr_serial_faults)
-    /. r.fr_autoj_s
 
 (* A step-2-shaped workload: the alternating chain test plus random
    scan-mode blocks, simulated with cross-block dropping. *)
@@ -727,135 +696,93 @@ let fsim_workload prep =
   Sequences.alternating prep.scanned prep.config ~repeats:2
   :: List.init 8 (fun _ -> random_block ())
 
-let fsim_measure ~jobs ~with_auto =
+let fsim_measure ~jobs ~with_full =
   let wall f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let rows =
-    List.map
-      (fun prep ->
-        let name = prep.entry.Fst_gen.Suite.profile.Fst_gen.Gen.name in
-        Printf.eprintf "[fsim] %s...\n%!" name;
-        let faults =
-          Fst_fault.Fault.collapse prep.scanned
-            (Fst_fault.Fault.universe prep.scanned)
-        in
-        let stimuli = fsim_workload prep in
-        let cycles =
-          List.fold_left (fun a s -> a + Array.length s) 0 stimuli
-        in
-        let observe = prep.scanned.Circuit.outputs in
-        let module F = Fst_fsim.Fsim in
-        (* Serial is ~62x the work per fault: time the single-machine
-           engine columns on one group's worth of faults so they stay
-           affordable at every scale and comparable across engines. *)
-        let serial_faults =
-          Array.sub faults 0 (min (Array.length faults) F.Parallel.max_group)
-        in
-        let one engine =
-          wall (fun () ->
-              F.Engine.detect_dropping ~engine ~jobs:1 prep.scanned
-                ~faults:serial_faults ~observe ~stimuli)
-        in
-        let rs, serial_s = one `Serial in
-        let re, event_s = one `Event in
-        if rs <> re then failwith (name ^ ": event fsim diverged from serial");
-        let rp, parallel_s = one `Parallel in
-        if rs <> rp then
-          failwith (name ^ ": parallel fsim diverged from serial");
-        let auto1_s, autoj_s =
-          if not with_auto then (-1.0, -1.0)
-          else begin
-            let full j =
-              wall (fun () ->
-                  F.Engine.detect_dropping
-                    ~engine:(Lazy.force bench_engine) ~jobs:j prep.scanned
-                    ~faults ~observe ~stimuli)
-            in
-            let r1, auto1_s = full 1 in
-            let rn, autoj_s = full jobs in
-            if r1 <> rn then
-              failwith (name ^ ": multicore fsim diverged from single-core");
-            (auto1_s, autoj_s)
-          end
-        in
-        {
-          fr_name = name;
-          fr_faults = Array.length faults;
-          fr_serial_faults = Array.length serial_faults;
-          fr_cycles = cycles;
-          fr_serial_s = serial_s;
-          fr_event_s = event_s;
-          fr_parallel_s = parallel_s;
-          fr_auto1_s = auto1_s;
-          fr_autoj_s = autoj_s;
-        })
-      (Lazy.force prepared_suite)
-  in
-  (* The event engine's home turf: the largest circuit with the faults
-     whose static cones are shortest, so nearly every cycle is quiescent
-     for the faulty machine. Serial still walks the whole circuit each
-     cycle; event only touches the cone. *)
-  let low_activity =
-    let prep =
-      List.fold_left
-        (fun best p ->
-          if Circuit.gate_count p.before > Circuit.gate_count best.before then p
-          else best)
-        (List.hd (Lazy.force prepared_suite))
-        (Lazy.force prepared_suite)
-    in
-    let name = prep.entry.Fst_gen.Suite.profile.Fst_gen.Gen.name in
-    Printf.eprintf "[fsim] low-activity workload on %s...\n%!" name;
-    let faults =
-      Fst_fault.Fault.collapse prep.scanned
-        (Fst_fault.Fault.universe prep.scanned)
-    in
-    let sizes = Fst_fault.Fault.cone_sizes prep.scanned faults in
-    let order = Array.init (Array.length faults) (fun i -> i) in
-    Array.sort (fun a b -> Int.compare sizes.(a) sizes.(b)) order;
-    let n = min (Array.length faults) Fst_fsim.Fsim.Parallel.max_group in
-    let short = Array.map (fun i -> faults.(i)) (Array.sub order 0 n) in
-    let max_cone = if n = 0 then 0 else sizes.(order.(n - 1)) in
-    let stimuli = fsim_workload prep in
-    let observe = prep.scanned.Circuit.outputs in
-    let rs, ser =
-      wall (fun () ->
-          Fst_fsim.Fsim.Engine.detect_dropping ~engine:`Serial ~jobs:1
-            prep.scanned ~faults:short ~observe ~stimuli)
-    in
-    let re, ev =
-      wall (fun () ->
-          Fst_fsim.Fsim.Engine.detect_dropping ~engine:`Event ~jobs:1
-            prep.scanned ~faults:short ~observe ~stimuli)
-    in
-    if rs <> re then failwith (name ^ ": event fsim diverged from serial");
-    (name, n, max_cone, ser, ev)
-  in
-  (rows, low_activity)
+  List.map
+    (fun prep ->
+      let name = prep.entry.Fst_gen.Suite.profile.Fst_gen.Gen.name in
+      Printf.eprintf "[fsim] %s...\n%!" name;
+      let faults =
+        Fst_fault.Fault.collapse prep.scanned
+          (Fst_fault.Fault.universe prep.scanned)
+      in
+      let stimuli = fsim_workload prep in
+      let cycles = List.fold_left (fun a s -> a + Array.length s) 0 stimuli in
+      let observe = prep.scanned.Circuit.outputs in
+      let module F = Fst_fsim.Fsim in
+      (* Serial is ~62x the work per fault: time both implementations on
+         one group's worth of faults so they stay affordable at every
+         scale and comparable with each other. These calls take well
+         under a millisecond on small circuits, where one major GC slice
+         landing inside a call can triple it, so each column is the best
+         of three runs. *)
+      let serial_faults =
+        Array.sub faults 0 (min (Array.length faults) F.Parallel.max_group)
+      in
+      let best_of_3 f =
+        let r, t1 = wall f in
+        let _, t2 = wall f in
+        let _, t3 = wall f in
+        (r, Float.min t1 (Float.min t2 t3))
+      in
+      let rs, serial_s =
+        best_of_3 (fun () ->
+            F.Serial.detect_dropping prep.scanned ~faults:serial_faults
+              ~observe ~stimuli)
+      in
+      let rp, parallel_s =
+        best_of_3 (fun () ->
+            F.Parallel.detect_dropping prep.scanned ~faults:serial_faults
+              ~observe ~stimuli)
+      in
+      if rs <> rp then failwith (name ^ ": parallel fsim diverged from serial");
+      let full1_s, fullj_s =
+        if not with_full then (-1.0, -1.0)
+        else begin
+          let full j =
+            wall (fun () ->
+                F.Engine.detect_dropping ~jobs:j prep.scanned ~faults ~observe
+                  ~stimuli)
+          in
+          let r1, full1_s = full 1 in
+          let rn, fullj_s = full jobs in
+          if r1 <> rn then
+            failwith (name ^ ": multicore fsim diverged from single-core");
+          (full1_s, fullj_s)
+        end
+      in
+      {
+        fr_name = name;
+        fr_faults = Array.length faults;
+        fr_serial_faults = Array.length serial_faults;
+        fr_cycles = cycles;
+        fr_serial_s = serial_s;
+        fr_parallel_s = parallel_s;
+        fr_full1_s = full1_s;
+        fr_fullj_s = fullj_s;
+      })
+    (Lazy.force prepared_suite)
 
 let fsim_bench () =
   let jobs = fsim_jobs () in
-  let rows, low_activity = fsim_measure ~jobs ~with_auto:true in
+  let rows = fsim_measure ~jobs ~with_full:true in
   let t =
     Table.create
       ~title:
-        (Printf.sprintf
-           "Fault-simulation engines (engine=%s; serial/event/parallel on \
-            one 62-fault group at jobs=1, auto on the full set)"
-           (Config.engine_to_string (Lazy.force bench_engine)))
+        "Fault simulation (serial/parallel on one 62-fault group at \
+         jobs=1, full fault set through Fsim.Engine)"
       [
         ("name", Table.Left);
         ("#faults", Table.Right);
         ("cycles", Table.Right);
         ("serial", Table.Right);
-        ("event", Table.Right);
         ("parallel", Table.Right);
-        ("auto j=1", Table.Right);
-        (Printf.sprintf "auto j=%d" jobs, Table.Right);
-        ("speedup", Table.Right);
+        ("full j=1", Table.Right);
+        (Printf.sprintf "full j=%d" jobs, Table.Right);
       ]
   in
   List.iter
@@ -866,58 +793,45 @@ let fsim_bench () =
           Table.cell_int r.fr_faults;
           Table.cell_int r.fr_cycles;
           Table.cell_seconds r.fr_serial_s;
-          Table.cell_seconds r.fr_event_s;
           Table.cell_seconds r.fr_parallel_s;
-          Table.cell_seconds r.fr_auto1_s;
-          Table.cell_seconds r.fr_autoj_s;
-          Printf.sprintf "%.2fx" (fsim_speedup r);
+          Table.cell_seconds r.fr_full1_s;
+          Table.cell_seconds r.fr_fullj_s;
         ])
     rows;
   Table.print t;
-  let la_name, la_n, la_cone, la_ser, la_ev = low_activity in
-  Printf.printf
-    "low-activity workload (%s, %d short-cone faults, cone <= %d nets): \
-     serial %.3fs, event %.3fs (%.2fx)\n"
-    la_name la_n la_cone la_ser la_ev
-    (la_ser /. Float.max 1e-9 la_ev);
+  (* Stamped with the host it was measured on: the numbers only compare
+     against runs on the same core count and compiler. *)
   let oc = open_out "BENCH_fsim.json" in
   Printf.fprintf oc
-    "{\n  \"scale\": %.3f,\n  \"jobs\": %d,\n  \"engine\": %S,\n  \"circuits\": ["
-    scale jobs
-    (Config.engine_to_string (Lazy.force bench_engine));
+    "{\n  \"scale\": %.3f,\n  \"jobs\": %d,\n  \"nproc\": %d,\n  \
+     \"ocaml\": %S,\n  \"circuits\": ["
+    scale jobs (Fst_exec.Pool.default_jobs ()) Sys.ocaml_version;
   List.iteri
     (fun i r ->
       Printf.fprintf oc
         "%s\n    { \"name\": %S, \"faults\": %d, \"serial_faults\": %d, \
-         \"cycles\": %d, \"serial_s\": %.6f, \"event_s\": %.6f, \
-         \"parallel_s\": %.6f, \"auto1_s\": %.6f, \"auto_jobs_s\": %.6f, \
-         \"auto_speedup\": %.3f }"
+         \"cycles\": %d, \"serial_s\": %.6f, \"parallel_s\": %.6f, \
+         \"full1_s\": %.6f, \"full_jobs_s\": %.6f }"
         (if i = 0 then "" else ",")
         r.fr_name r.fr_faults r.fr_serial_faults r.fr_cycles r.fr_serial_s
-        r.fr_event_s r.fr_parallel_s r.fr_auto1_s r.fr_autoj_s
-        (fsim_speedup r))
+        r.fr_parallel_s r.fr_full1_s r.fr_fullj_s)
     rows;
-  Printf.fprintf oc
-    "\n  ],\n  \"low_activity\": { \"name\": %S, \"faults\": %d, \
-     \"max_cone\": %d, \"serial_s\": %.6f, \"event_s\": %.6f, \
-     \"event_speedup\": %.3f }\n}\n"
-    la_name la_n la_cone la_ser la_ev
-    (la_ser /. Float.max 1e-9 la_ev);
+  Printf.fprintf oc "\n  ]\n}\n";
   close_out oc;
   Printf.printf "wrote BENCH_fsim.json (%d circuits, jobs=%d)\n"
     (List.length rows) jobs
 
-(* [fsim --check]: re-measure the per-engine columns (the full-set Auto
-   columns are skipped — the gate is about engine regressions, not
+(* [fsim --check]: re-measure the one-group columns (the full-set
+   columns are skipped — the gate is about kernel regressions, not
    wall-clock on the whole fault set) and fail when bit-parallel is
-   slower than serial on the same faults, or when serial/event regressed
-   more than 20% against the committed BENCH_fsim.json. The numeric
+   slower than serial on the same faults, or when serial regressed more
+   than 20% against the committed BENCH_fsim.json. The numeric
    comparison only applies when the committed scale and jobs match this
    run's; the parallel-never-slower invariant is checked always, on both
    the fresh and the committed numbers. *)
 let fsim_check () =
   let jobs = fsim_jobs () in
-  let rows, _ = fsim_measure ~jobs ~with_auto:false in
+  let rows = fsim_measure ~jobs ~with_full:false in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   List.iter
@@ -976,18 +890,14 @@ let fsim_check () =
                 synthetic runs; 100µs floor keeps degenerate sub-µs
                 circuits from producing noise verdicts. *)
              let module A = Fst_obs.Analyze in
-             let committed_ser = fnum (J.member "serial_s" c)
-             and committed_ev = fnum (J.member "event_s" c) in
+             let committed_ser = fnum (J.member "serial_s" c) in
              if Float.is_nan committed_ser then
-               err "%s: committed serial_s missing" r.fr_name;
-             if Float.is_nan committed_ev then
-               err "%s: committed event_s missing" r.fr_name;
-             if not (Float.is_nan committed_ser || Float.is_nan committed_ev)
-             then begin
-               let mk ser ev =
+               err "%s: committed serial_s missing" r.fr_name
+             else begin
+               let mk ser =
                  {
                    A.wall_s = 0.0;
-                   phases = [ ("serial", ser); ("event", ev) ];
+                   phases = [ ("serial", ser) ];
                    counters = [];
                    gauges = [];
                    histograms = [];
@@ -997,9 +907,8 @@ let fsim_check () =
                  }
                in
                let entries =
-                 A.diff ~threshold:0.20 ~min_s:1e-4
-                   (mk committed_ser committed_ev)
-                   (mk r.fr_serial_s r.fr_event_s)
+                 A.diff ~threshold:0.20 ~min_s:1e-4 (mk committed_ser)
+                   (mk r.fr_serial_s)
                in
                List.iter
                  (fun (e : A.diff_entry) ->
@@ -1046,9 +955,7 @@ let flow_bench () =
     let metrics = M.create () in
     let sink = Fst_obs.Sink.create ~metrics () in
     let cfg =
-      Config.(
-        flow_config |> with_jobs jobs |> with_sink sink
-        |> with_engine (Lazy.force bench_engine))
+      Config.(flow_config |> with_jobs jobs |> with_sink sink)
     in
     let t0 = Unix.gettimeofday () in
     let flow = Flow.run ~config:cfg prep.scanned prep.config in
@@ -1138,7 +1045,6 @@ let flow_bench () =
       [
         ("scale", J.Float scale);
         ("jobs", J.Int jobs);
-        ("engine", J.String (Config.engine_to_string (Lazy.force bench_engine)));
         ( "circuits",
           J.List
             (List.map
@@ -1650,7 +1556,7 @@ let usage () =
   print_endline
     "usage: main.exe \
      [table1|table2|table3|fig5|ablate-alt|ablate-dist|ablate-trunc|ablate-order|ablate-compact|ablate-rtpg|coverage|fsim|flow|sca|serve|micro|all] \
-     [--engine NAME] [fsim --check]"
+     [fsim --check]"
 
 let () =
   let target = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

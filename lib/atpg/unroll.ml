@@ -9,7 +9,6 @@ type t = {
   frames : int;
   view : View.t;
   net_at : int array array;
-  origin_of : (int, origin) Hashtbl.t;
   capture_of : int array; (* orig ff net -> capture-buffer net, or -1 *)
 }
 
@@ -26,7 +25,6 @@ let build (c : Circuit.t) ~frames ~constraints ~controllable_ff ~observable_ff =
   let names = Array.make total "" in
   (* Net mapping is closed-form: frame [f], original [i] -> [f*n + i]. *)
   let net_at = Array.init frames (fun f -> Array.init n (fun i -> (f * n) + i)) in
-  let origin_of = Hashtbl.create 64 in
   let free = ref [] in
   for f = 0 to frames - 1 do
     for i = 0 to n - 1 do
@@ -38,7 +36,6 @@ let build (c : Circuit.t) ~frames ~constraints ~controllable_ff ~observable_ff =
           match fixed_pi.(i) with
           | Some v -> Circuit.Const v
           | None ->
-            Hashtbl.replace origin_of id (Pi { frame = f; net = i });
             free := id :: !free;
             Circuit.Input)
         | Circuit.Const v -> Circuit.Const v
@@ -47,7 +44,6 @@ let build (c : Circuit.t) ~frames ~constraints ~controllable_ff ~observable_ff =
         | Circuit.Dff data ->
           if f = 0 then
             if controllable_ff i then begin
-              Hashtbl.replace origin_of id (State i);
               free := id :: !free;
               Circuit.Input
             end
@@ -92,7 +88,7 @@ let build (c : Circuit.t) ~frames ~constraints ~controllable_ff ~observable_ff =
       ~nodes ~net_names:names ~outputs:[||]
   in
   let view = View.make uc ~free:!free ~fixed:[] ~observe:!observe in
-  { original = c; frames; view; net_at; origin_of; capture_of }
+  { original = c; frames; view; net_at; capture_of }
 
 let map_fault u (fault : Fault.t) =
   let c = u.original in
@@ -138,7 +134,20 @@ let map_fault u (fault : Fault.t) =
      | Circuit.Input | Circuit.Const _ -> assert false));
   !acc
 
+(* Closed form, like [net_at]: the free inputs are exactly the unrolled
+   [Input] nodes, and a frame-[f] copy of original net [i] is [f*n + i]. *)
 let origin u net =
-  match Hashtbl.find_opt u.origin_of net with
-  | Some o -> o
-  | None -> invalid_arg (Printf.sprintf "Unroll.origin: net %d is not free" net)
+  let uc = u.view.View.circuit in
+  let not_free () =
+    invalid_arg (Printf.sprintf "Unroll.origin: net %d is not free" net)
+  in
+  if net < 0 || net >= Circuit.num_nets uc then not_free ()
+  else
+    match Circuit.node uc net with
+    | Circuit.Input -> (
+      let n = Circuit.num_nets u.original in
+      let frame = net / n and i = net mod n in
+      match Circuit.node u.original i with
+      | Circuit.Dff _ -> State i
+      | Circuit.Input | Circuit.Const _ | Circuit.Gate _ -> Pi { frame; net = i })
+    | Circuit.Const _ | Circuit.Gate _ | Circuit.Dff _ -> not_free ()

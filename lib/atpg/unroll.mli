@@ -24,8 +24,6 @@ type t = {
   frames : int;
   view : View.t;  (** combinational view of the unrolled circuit *)
   net_at : int array array;  (** [net_at.(frame).(orig)] = unrolled net *)
-  origin_of : (int, origin) Hashtbl.t;
-      (** reverse map for the unrolled free inputs *)
   capture_of : int array;
       (** per original flip-flop net: the capture-buffer net observing what
           it latches at the end of the last frame, or [-1] *)
@@ -43,5 +41,7 @@ val build :
     the unrolled model. *)
 val map_fault : t -> Fault.t -> Fault.t list
 
-(** [origin u net] describes where an unrolled free input came from. *)
+(** [origin u net] describes where an unrolled free input came from,
+    computed in closed form from [net]. Raises [Invalid_argument] when
+    [net] is not a free input of the unrolled model. *)
 val origin : t -> int -> origin

@@ -9,7 +9,6 @@ let spec =
         Common.name_arg;
         Common.scale_arg;
         Common.chains_arg;
-        Common.engine_arg;
         Common.jobs_arg;
         Spec.value_arg [ "--time-budget" ] ~docv:"S"
           ~doc:"Wall-clock budget for the whole flow, in seconds. When a \
@@ -139,14 +138,13 @@ let run p =
     | false, false -> None
   in
   let cfg =
-    Common.or_die
-      (Config.of_cli ~engine:(Common.get_engine p)
-         ~jobs:(Spec.int p "--jobs" ~default:0)
-         ~scale
-         ?time_budget:(Spec.float_opt p "--time-budget")
-         ?on_error
-         ~preflight:(Spec.flag p "--preflight")
-         ~sink ())
+    Config.of_cli
+      ~jobs:(Spec.int p "--jobs" ~default:0)
+      ~scale
+      ?time_budget:(Spec.float_opt p "--time-budget")
+      ?on_error
+      ~preflight:(Spec.flag p "--preflight")
+      ~sink ()
   in
   let cfg =
     if Spec.flag p "--no-sca" then

@@ -3,11 +3,9 @@ module Budget = Fst_exec.Budget
 module Sink = Fst_obs.Sink
 module Json = Fst_obs.Json
 
-type engine = Fst_fsim.Fsim.selector
 type on_error = [ `Fail_fast | `Keep_going ]
 
 type t = {
-  engine : engine;
   jobs : int;
   dist_floor_scale : float;
   comb_backtrack : int;
@@ -35,7 +33,6 @@ type t = {
 
 let default =
   {
-    engine = `Auto;
     jobs = Pool.default_jobs ();
     dist_floor_scale = 1.0;
     comb_backtrack = 200;
@@ -61,7 +58,6 @@ let default =
     preflight = false;
   }
 
-let with_engine engine t = { t with engine }
 let with_jobs jobs t = { t with jobs = max 1 jobs }
 let with_dist_floor_scale dist_floor_scale t = { t with dist_floor_scale }
 let with_comb_backtrack comb_backtrack t = { t with comb_backtrack }
@@ -92,21 +88,6 @@ let with_on_error on_error t = { t with on_error }
 let with_sink sink t = { t with sink }
 let with_preflight preflight t = { t with preflight }
 
-let engine_to_string : engine -> string = function
-  | `Serial -> "serial"
-  | `Parallel -> "parallel"
-  | `Event -> "event"
-  | `Auto -> "auto"
-
-let engine_of_string = function
-  | "serial" -> Some `Serial
-  | "parallel" -> Some `Parallel
-  | "event" -> Some `Event
-  | "auto" -> Some `Auto
-  | _ -> None
-
-let engine_names = [ "serial"; "parallel"; "event"; "auto" ]
-
 let on_error_to_string : on_error -> string = function
   | `Fail_fast -> "fail-fast"
   | `Keep_going -> "keep-going"
@@ -117,11 +98,10 @@ let on_error_of_string = function
   | _ -> None
 
 (* The semantic fingerprint covers exactly the knobs that change what a
-   flow computes. Engine (every back-end is result-identical), jobs
-   (step-2 identical, step-3 totals identical), sink/preflight (pure
-   observers) and time_budget/on_error (degradation policy) are all
-   excluded, so a cached artifact produced by any engine at any
-   parallelism satisfies a lookup from any other. *)
+   flow computes. Jobs (result-identical parallelism), sink/preflight
+   (pure observers) and time_budget/on_error (degradation policy) are
+   all excluded, so a cached artifact produced at any parallelism
+   satisfies a lookup from any other. *)
 let fingerprint t =
   let key =
     ( t.dist_floor_scale,
@@ -146,40 +126,31 @@ let budget t =
   | None -> Budget.unlimited
   | Some s -> Budget.of_seconds s
 
-let of_cli ?(engine = "auto") ?(jobs = 0) ?(scale = 1.0) ?time_budget
-    ?on_error ?(preflight = false) ?(sink = Sink.null) () =
-  match engine_of_string engine with
-  | None ->
-    Error
-      (Printf.sprintf "unknown engine %S (expected one of: %s)" engine
-         (String.concat ", " engine_names))
-  | Some e ->
-    let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
-    (* Budgeted runs default to keep-going: a run that is already
-       prepared to ship partial coverage under a deadline should not
-       throw the partial result away over one poison fault group. An
-       explicit flag always wins. *)
-    let on_error =
-      match on_error with
-      | Some p -> p
-      | None -> if time_budget <> None then `Keep_going else `Fail_fast
-    in
-    Ok
-      {
-        default with
-        engine = e;
-        jobs;
-        dist_floor_scale = scale;
-        time_budget;
-        on_error;
-        preflight;
-        sink;
-      }
+let of_cli ?(jobs = 0) ?(scale = 1.0) ?time_budget ?on_error
+    ?(preflight = false) ?(sink = Sink.null) () =
+  let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
+  (* Budgeted runs default to keep-going: a run that is already prepared
+     to ship partial coverage under a deadline should not throw the
+     partial result away over one poison fault group. An explicit flag
+     always wins. *)
+  let on_error =
+    match on_error with
+    | Some p -> p
+    | None -> if time_budget <> None then `Keep_going else `Fail_fast
+  in
+  {
+    default with
+    jobs;
+    dist_floor_scale = scale;
+    time_budget;
+    on_error;
+    preflight;
+    sink;
+  }
 
 let to_json t =
   Json.Obj
     [
-      ("engine", Json.String (engine_to_string t.engine));
       ("jobs", Json.Int t.jobs);
       ("dist_floor_scale", Json.Float t.dist_floor_scale);
       ("comb_backtrack", Json.Int t.comb_backtrack);
@@ -256,16 +227,6 @@ let ( let* ) = Result.bind
 
 let set_field t k v =
   match k with
-  | "engine" -> (
-    match v with
-    | Json.String s -> (
-      match engine_of_string s with
-      | Some e -> Ok { t with engine = e }
-      | None ->
-        Error
-          (Printf.sprintf "config: unknown engine %S (expected one of: %s)" s
-             (String.concat ", " engine_names)))
-    | _ -> Error "config: \"engine\" expects a string")
   | "jobs" ->
     let* i = d_int k v in
     Ok (with_jobs i t)
@@ -353,7 +314,7 @@ let of_json = function
   | _ -> Error "config: expected a JSON object"
 
 let equal_semantic a b =
-  a.engine = b.engine && a.jobs = b.jobs
+  a.jobs = b.jobs
   && a.dist_floor_scale = b.dist_floor_scale
   && a.comb_backtrack = b.comb_backtrack
   && a.seq_backtrack = b.seq_backtrack

@@ -1,43 +1,34 @@
 (** One configuration record for the whole flow.
 
     [Config.t] collapses every knob — the flow and scan-ATPG parameters,
-    the fault-sim engine choice, the wall-clock budget and the
+    the fault-simulation parallelism, the wall-clock budget and the
     observability sink — into a single value built from {!default} with
     functional [with_*] setters:
 
     {[
       let cfg =
         Config.(
-          default |> with_jobs 8 |> with_engine `Event
-          |> with_time_budget (Some 120.0))
+          default |> with_jobs 8 |> with_time_budget (Some 120.0))
       in
       Flow.run ~config:cfg scanned scan_config
     ]}
 
-    Everything in the record except [sink], [preflight] and [time_budget]
-    is {e semantic}: it changes what the flow computes, and is part of the
-    checkpoint fingerprint ({!Flow.run}). The engine selector is also
-    non-semantic — every engine returns bit-identical results
-    ({!Fst_fsim.Fsim.selector}) — so checkpoints stay valid across engine
-    changes. *)
-
-(** The fault-simulation engine selector ({!Fst_fsim.Fsim.selector}):
-    [`Serial], [`Parallel], [`Event], or [`Auto] (per-fault choice by
-    static cone size). *)
-type engine = Fst_fsim.Fsim.selector
+    Everything in the record except [jobs], [sink], [preflight],
+    [time_budget] and [on_error] is {e semantic}: it changes what the
+    flow computes, and is part of the checkpoint fingerprint
+    ({!Flow.run}). *)
 
 (** Failure policy for fault groups and engine calls during a flow:
     [`Fail_fast] (the default) re-raises the first failure after the
     queue drains — exactly the historical contract; [`Keep_going]
     quarantines failed work into the {e failed} bucket of the abort
     accounting and completes everything else, so a poison fault group
-    costs its own coverage and nothing more. Like [engine], this is a
+    costs its own coverage and nothing more. Like [jobs], this is a
     policy knob, not a semantic one: it is excluded from the checkpoint
     fingerprint. *)
 type on_error = [ `Fail_fast | `Keep_going ]
 
 type t = {
-  engine : engine;  (** fault-sim back-end selector (default [`Auto]) *)
   jobs : int;
       (** worker domains for fault simulation (step 2, and the fault
           simulation that retires step-3 detections); results are
@@ -77,10 +68,8 @@ type t = {
 }
 
 (** The defaults every knob documents; identical to the historical
-    flow and scan-ATPG parameter defaults, with [engine = `Auto]. *)
+    flow and scan-ATPG parameter defaults. *)
 val default : t
-
-val with_engine : engine -> t -> t
 
 (** Clamped to at least 1. *)
 val with_jobs : int -> t -> t
@@ -108,21 +97,14 @@ val with_on_error : on_error -> t -> t
 val with_sink : Fst_obs.Sink.t -> t -> t
 val with_preflight : bool -> t -> t
 
-(** CLI spellings of the engine selector: ["serial"], ["parallel"],
-    ["event"], ["auto"]. *)
-val engine_to_string : engine -> string
-
-val engine_of_string : string -> engine option
-val engine_names : string list
-
 (** ["fail-fast"] / ["keep-going"] — the CLI spellings. *)
 val on_error_to_string : on_error -> string
 
 val on_error_of_string : string -> on_error option
 
 (** [fingerprint t] is a stable hex digest of the {e semantic} knobs
-    only — everything that changes what the flow computes. [engine]
-    (result-identical back-ends), [jobs] (result-identical parallelism),
+    only — everything that changes what the flow computes. [jobs]
+    (result-identical parallelism),
     [sink]/[preflight] (pure observers) and [time_budget]/[on_error]
     (degradation policy) are excluded, so two configurations that must
     produce bit-identical reports share a fingerprint. This is the
@@ -142,14 +124,12 @@ val equal_semantic : t -> t -> bool
 val budget : t -> Fst_exec.Budget.t
 
 (** [of_cli ()] builds a configuration from the command-line surface:
-    engine by name, [jobs <= 0] meaning "all cores", the distance-floor
+    [jobs <= 0] meaning "all cores", the distance-floor
     [scale], optional time budget, failure policy, preflight flag and
     sink. When [on_error] is not given it defaults to [`Keep_going] for
     budgeted runs (a deadline-bound run should ship its partial
-    coverage, not die on one poison group) and [`Fail_fast] otherwise.
-    [Error] on an unknown engine name. *)
+    coverage, not die on one poison group) and [`Fail_fast] otherwise. *)
 val of_cli :
-  ?engine:string ->
   ?jobs:int ->
   ?scale:float ->
   ?time_budget:float ->
@@ -157,9 +137,9 @@ val of_cli :
   ?preflight:bool ->
   ?sink:Fst_obs.Sink.t ->
   unit ->
-  (t, string) result
+  t
 
-(** Every semantic field (plus [engine], [jobs], [time_budget] and
+(** Every semantic field (plus [jobs], [time_budget], [on_error] and
     [preflight]) as JSON — echoed into flow event logs so a result is
     attributable to its configuration. The [sink] itself is not
     serializable and is omitted. *)

@@ -467,7 +467,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     rng_state = Fst_gen.Rng.state rng;
   }
 
-let fsim_step2 ~(cfg : Config.t) ~engine ~budget ~acct ~failed_flag
+let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
     ~static_flag scanned ~hard_faults ~(plan : plan) =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
@@ -511,7 +511,7 @@ let fsim_step2 ~(cfg : Config.t) ~engine ~budget ~acct ~failed_flag
         let alive = Array.sub pending 0 !n_pending in
         let faults = Array.map (fun k -> sim_faults.(k)) alive in
         let simulate_block () =
-          Fsim.Engine.detect_all ~obs:sink ~engine ~jobs:cfg.Config.jobs
+          Fsim.Engine.detect_all ~obs:sink ~jobs:cfg.Config.jobs
             scanned ~faults ~observe:scanned.Circuit.outputs blocks_arr.(!b)
         in
         match
@@ -672,7 +672,7 @@ type step3_state = {
 
 (* Fault-simulates a realized sequence against every still-alive remaining
    fault and retires the detections; returns the detected indices. *)
-let retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults ~stim =
+let retire_detections ~sink ~jobs st scanned ~remaining_faults ~stim =
   let alive_ids =
     Hashtbl.fold (fun i () acc -> i :: acc) st.alive [] |> List.sort Int.compare
   in
@@ -680,7 +680,7 @@ let retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults ~stim =
     Array.of_list (List.map (fun i -> remaining_faults.(i)) alive_ids)
   in
   let outcome =
-    Fsim.Engine.detect_all ~obs:sink ~engine ~jobs scanned ~faults:faults_arr
+    Fsim.Engine.detect_all ~obs:sink ~jobs scanned ~faults:faults_arr
       ~observe:scanned.Circuit.outputs stim
   in
   let hits = ref [] in
@@ -720,7 +720,7 @@ let plan_sequence ~sink scanned config ~remaining_faults ~models ~frames
   | Seq.Seq_test test, stats ->
     (Some (Sequences.of_seq_test scanned config test), stats)
 
-let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
+let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag
     ~failed_flag ~impossible ~progress ~save_progress scanned config ~classify
     ~hard_index ~remaining ~view ~model =
   let sink = cfg.Config.sink in
@@ -795,7 +795,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
      surrounding cohort instead of raising. *)
   let retire stim =
     let go () =
-      retire_detections ~sink ~engine ~jobs:cfg.Config.jobs st scanned
+      retire_detections ~sink ~jobs:cfg.Config.jobs st scanned
         ~remaining_faults ~stim
     in
     if not keep_going then ignore (go ())
@@ -1058,7 +1058,6 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
 let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     ?on_checkpoint ?on_resume scanned config =
   let cfg = match cfg with Some c -> c | None -> Config.default in
-  let engine = cfg.Config.engine in
   let budget =
     match budget with Some b -> b | None -> Config.budget cfg
   in
@@ -1245,7 +1244,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step2-fsim" (fun () ->
           let step2, remaining =
-            fsim_step2 ~cfg ~engine ~budget ~acct:ck.acct
+            fsim_step2 ~cfg ~budget ~acct:ck.acct
               ~failed_flag:ck.failed_flag ~static_flag scanned ~hard_faults
               ~plan
           in
@@ -1267,7 +1266,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step3" (fun () ->
           let step3, undetected_idx, aborted_idx, untestable3_idx =
-            run_step3 ~cfg ~engine ~budget ~acct:ck.acct
+            run_step3 ~cfg ~budget ~acct:ck.acct
               ~aborted_flag:ck.aborted_flag ~failed_flag:ck.failed_flag
               ~impossible ~progress:ck.c_s3
               ~save_progress:(fun p ->

@@ -141,7 +141,7 @@ type result = {
     executes the flow on an already-scanned circuit.
 
     [config] is the unified {!Config.t} (default {!Config.default}): every
-    flow knob, the fault-simulation engine selector, the wall-clock budget
+    flow knob, the fault-simulation parallelism, the wall-clock budget
     and the observability sink in one value; with a live sink the effective
     configuration is echoed as a ["config"] event. [jobs] only sizes the
     fault-simulation pool, whose results are identical for every value;

@@ -28,7 +28,6 @@ let functional_view (scanned : Circuit.t) (config : Scan.config) =
 
 let run ?(config = Config.default) ?(deadline = Clock.never) scanned
     scan_config ~already_detected =
-  let engine = config.Config.engine in
   let backtrack = config.Config.scan_backtrack in
   let random_blocks = config.Config.scan_random_blocks in
   let random_seed = config.Config.scan_random_seed in
@@ -110,7 +109,7 @@ let run ?(config = Config.default) ?(deadline = Clock.never) scanned
   let engine_failed = ref false in
   let outcome =
     let simulate () =
-      Fsim.Engine.detect_dropping ~obs:sink ~engine ~jobs scanned
+      Fsim.Engine.detect_dropping ~obs:sink ~jobs scanned
         ~faults:targets ~observe:scanned.Circuit.outputs ~stimuli:blocks
     in
     if not keep_going then simulate ()

@@ -37,7 +37,7 @@ type result = {
     functional logic through the scan chain. [config] is the unified
     {!Config.t} (default {!Config.default}); this phase reads its
     [scan_backtrack] / [scan_random_blocks] / [scan_random_seed] knobs plus
-    [engine], [jobs], [on_error] ([`Keep_going] isolates per-fault ATPG
+    [jobs], [on_error] ([`Keep_going] isolates per-fault ATPG
     failures — the fault lands in [failed] unless another sequence detects
     it — and retries the fault-simulation pass, quarantining every
     unproven fault when it permanently fails) and [sink] (a phase span, a

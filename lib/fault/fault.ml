@@ -214,7 +214,7 @@ let cone (c : Circuit.t) f =
   Array.sort Stdlib.compare a;
   a
 
-let cone_sizes ?cap (c : Circuit.t) (faults : t array) =
+let cone_sizes (c : Circuit.t) (faults : t array) =
   let seen = Array.make (Circuit.num_nets c) false in
   let cache = Hashtbl.create 64 in
   let size_of seed =
@@ -228,22 +228,18 @@ let cone_sizes ?cap (c : Circuit.t) (faults : t array) =
         stack := i :: !stack
       end
     in
+    let rec drain () =
+      match !stack with
+      | [] -> ()
+      | i :: rest ->
+        stack := rest;
+        Array.iter push c.Circuit.fanout.(i);
+        drain ()
+    in
     push seed;
-    let count = ref 0 in
-    (try
-       let continue = ref true in
-       while !continue do
-         match !stack with
-         | [] -> continue := false
-         | i :: rest ->
-           stack := rest;
-           incr count;
-           (match cap with Some k when !count > k -> raise Exit | _ -> ());
-           Array.iter push c.Circuit.fanout.(i)
-       done
-     with Exit -> stack := []);
+    drain ();
     List.iter (fun i -> seen.(i) <- false) !touched;
-    !count
+    List.length !touched
   in
   Array.map
     (fun f ->

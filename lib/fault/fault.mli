@@ -70,13 +70,11 @@ val seed : t -> int
     net, or the faulted consumer node for a branch fault — seed included,
     sorted ascending. Nets outside the cone can never diverge from the
     fault-free machine under [f]; this is the soundness envelope of the
-    event-driven fault-simulation back-end and the cost model behind
-    automatic engine selection. *)
+    cone-clipped fault simulator and of the static analysis's fault-aware
+    implications. *)
 val cone : Circuit.t -> t -> int array
 
-(** [cone_sizes ?cap c faults] is [Array.length (cone c f)] per fault,
-    computed with a per-seed cache (faults sharing a seed share the BFS).
-    With [~cap] the traversal stops as soon as the cone exceeds [cap]
-    nets and reports [cap + 1] — cheap when only a threshold comparison
-    is needed. *)
-val cone_sizes : ?cap:int -> Circuit.t -> t array -> int array
+(** [cone_sizes c faults] is [Array.length (cone c f)] per fault,
+    computed with a per-seed cache (faults sharing a seed share the
+    traversal). *)
+val cone_sizes : Circuit.t -> t array -> int array

@@ -7,13 +7,11 @@
     complementary binary value in the faulty machine. A potential detection
     (faulty value [X]) does not count, as in the paper.
 
-    Three interchangeable back-ends implement the common {!ENGINE}
-    interface: {!Serial} (one faulty machine at a time, the reference),
-    {!Parallel} (62 faulty machines per pass, bit-parallel) and {!Event}
-    (one fault at a time as a sparse divergence overlay on a shared
-    fault-free trace, event-driven). {!Engine} dispatches on a first-class
-    {!selector} — including [`Auto], which picks a back-end per fault by
-    static cone size — and shards the fault list across a domain pool
+    Two implementations of the common {!ENGINE} interface: {!Serial} (one
+    faulty machine at a time, the reference the tests compare against)
+    and {!Parallel} (62 faulty machines per pass, bit-parallel and
+    cone-clipped). {!Engine} is the entry point the flow uses: it runs
+    {!Parallel}, sharding the fault list across a domain pool
     ({!Fst_exec.Pool}) when [jobs > 1]. *)
 
 open Fst_logic
@@ -95,96 +93,24 @@ module Parallel : sig
     (int * int) option array
 end
 
-(** Event-driven incremental simulation: the fault-free machine runs once
-    per stimulus block and every fault is replayed as a sparse divergence
-    overlay on that shared trace. Events are seeded only at the fault site
-    (and at flip-flops still holding divergent state) and propagate through
-    gates in ascending combinational level, so work per cycle is bounded by
-    the fault's active region inside its static fanout cone
-    ({!Fst_fault.Fault.cone}) — a quiescent or reconverged cycle is O(1).
-    Detection and dropping semantics are bit-identical to {!Serial}. *)
-module Event : sig
-  include ENGINE
-
-  (** Like {!val:detect_all} / {!val:detect_dropping}, additionally calling
-      [on_fault] once per simulated (fault, block) with the number of gate
-      evaluations ([events]), cycles with any divergence ([active]) and
-      active cycles whose state divergence died out ([reconv]). *)
-
-  val detect_all_stats :
-    ?on_fault:(events:int -> active:int -> reconv:int -> unit) ->
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimulus ->
-    int option array
-
-  val detect_dropping_stats :
-    ?on_fault:(events:int -> active:int -> reconv:int -> unit) ->
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimuli:stimulus list ->
-    (int * int) option array
-end
-
-(** A concrete back-end. [`Parallel] was called [`Bit_parallel] before the
-    engine selector became first-class. *)
-type backend = [ `Serial | `Parallel | `Event ]
-
-(** What callers select: a concrete back-end, or [`Auto] — faults are
-    partitioned by static cone size ([`Event] for small cones,
-    [`Parallel] for large), and each partition falls back to [`Serial]
-    if its modeled cost would exceed the serial cost of the same faults
-    (see {!Engine.plan}). Every choice returns identical results; the
-    selector only moves wall-clock time. *)
-type selector = [ backend | `Auto ]
-
-(** [engine b] is the back-end as a first-class {!ENGINE}. *)
-val engine : backend -> (module ENGINE)
-
-(** Engine selection plus multicore dispatch. With [jobs = 1] (the
-    default) these call the chosen back-end(s) directly and behave exactly
-    like them; with [jobs > 1] the fault list is sharded into back-end-sized
-    chunks (whole 62-wide groups for [`Parallel]) that run on a domain
-    pool, and the per-shard results are merged back in input order — the
-    result is identical for every [jobs] value and every {!selector}
-    because faulty machines never interact. *)
+(** {!Parallel} plus multicore dispatch. With [jobs = 1] (the default)
+    these behave exactly like {!Parallel}; with [jobs > 1] the fault list
+    is sharded into whole 62-wide groups that run on a domain pool, and
+    the per-shard results are merged back in input order — the result is
+    identical for every [jobs] value because faulty machines never
+    interact. A call whose estimated work is below
+    {!Fst_exec.Pool.min_work} runs in the caller without spawning
+    domains. *)
 module Engine : sig
   (** With a live [obs] sink each call counts
       [fsim.<entry>.calls] / [.faults], fills a [.call_s] duration
       histogram, emits a trace span, and threads the sink into the pool
-      (per-domain busy accounting); the event back-end additionally fills
-      [fsim.event.events] (gate evaluations per fault-block) and
-      [fsim.event.reconv_rate] (reconverged / active cycles) histograms.
-      With the default {!Fst_obs.Sink.null} the instrumentation is a
-      single branch per call — the inner simulation loops are never
-      touched. *)
-
-  (** One [`Auto] scheduling decision: run the faults at [indices] (into
-      the caller's fault array) on [backend], at a modeled cost of
-      [units] scalar gate evaluations. *)
-  type decision = {
-    backend : backend;
-    indices : int array;
-    units : int;
-  }
-
-  (** [plan c ~faults ~cycles] is the [`Auto] cost model made
-      inspectable: the decision list partitions the fault indices, and
-      every decision's modeled [units] is guaranteed not to exceed the
-      modeled serial cost of the same faults — a partition whose
-      preferred back-end models worse than serial is demoted to
-      [`Serial]. [cycles] is the total stimulus length the workload will
-      simulate. The [units] also feed {!Fst_exec.Pool}'s minimum-work
-      threshold, so tiny workloads run in-caller instead of spawning
-      domains. *)
-  val plan :
-    Circuit.t -> faults:Fault.t array -> cycles:int -> decision list
+      (per-domain busy accounting). With the default {!Fst_obs.Sink.null}
+      the instrumentation is a single branch per call — the inner
+      simulation loops are never touched. *)
 
   val detect_all :
     ?obs:Fst_obs.Sink.t ->
-    ?engine:selector ->
     ?jobs:int ->
     Circuit.t ->
     faults:Fault.t array ->
@@ -194,7 +120,6 @@ module Engine : sig
 
   val detect_dropping :
     ?obs:Fst_obs.Sink.t ->
-    ?engine:selector ->
     ?jobs:int ->
     Circuit.t ->
     faults:Fault.t array ->

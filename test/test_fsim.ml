@@ -122,12 +122,11 @@ let random_workload seed =
   in
   (c, chosen, List.init 3 (fun _ -> block ()))
 
-(* Every back-end implements the same ENGINE semantics: identical
-   per-fault detection cycles and drop blocks/cycles on both engine
-   operations. [Event] must be bit-identical to [Serial], including where
-   (block, cycle) each fault drops. *)
+(* Both implementations have the same ENGINE semantics: identical
+   per-fault detection cycles and drop blocks/cycles on both operations,
+   including where (block, cycle) each fault drops. *)
 let prop_engines_agree =
-  Q.Test.make ~name:"serial, bit-parallel and event engines agree" ~count:15
+  Q.Test.make ~name:"serial and bit-parallel engines agree" ~count:15
     (Q.map Int64.of_int (Q.int_bound 100000))
     (fun seed ->
       let c, chosen, stimuli = random_workload seed in
@@ -138,15 +137,12 @@ let prop_engines_agree =
         Fsim.Serial.detect_dropping c ~faults:chosen ~observe ~stimuli
       in
       ser_all = Fsim.Parallel.detect_all c ~faults:chosen ~observe stim
-      && ser_all = Fsim.Event.detect_all c ~faults:chosen ~observe stim
       && ser_drop
-         = Fsim.Parallel.detect_dropping c ~faults:chosen ~observe ~stimuli
-      && ser_drop
-         = Fsim.Event.detect_dropping c ~faults:chosen ~observe ~stimuli)
+         = Fsim.Parallel.detect_dropping c ~faults:chosen ~observe ~stimuli)
 
 (* Cone soundness: under any fault, a net outside the fault's static
    fanout cone never diverges from the fault-free machine — the envelope
-   the event-driven back-end relies on to skip work. *)
+   the cone-clipped bit-parallel sweep relies on to skip work. *)
 let prop_cone_soundness =
   Q.Test.make ~name:"nets outside the static cone never diverge" ~count:15
     (Q.map Int64.of_int (Q.int_bound 100000))
@@ -175,9 +171,8 @@ let prop_cone_soundness =
           !ok)
         chosen)
 
-(* Multicore dispatch and engine selection are invisible: any [jobs]
-   value gives the single-core result, for every selector (including
-   [`Auto]'s per-fault split) and both engine operations. *)
+(* Multicore dispatch is invisible: any [jobs] value gives the
+   single-core result, on both engine operations. *)
 let prop_jobs_invariant =
   Q.Test.make ~name:"engine jobs>1 agrees with jobs=1" ~count:15
     (Q.pair
@@ -187,17 +182,12 @@ let prop_jobs_invariant =
       let c, chosen, stimuli = random_workload seed in
       let observe = c.Circuit.outputs in
       let stim = List.hd stimuli in
-      List.for_all
-        (fun engine ->
-          Fsim.Engine.detect_all ~engine ~jobs:1 c ~faults:chosen ~observe
-            stim
-          = Fsim.Engine.detect_all ~engine ~jobs c ~faults:chosen ~observe
-              stim
-          && Fsim.Engine.detect_dropping ~engine ~jobs:1 c ~faults:chosen
-               ~observe ~stimuli
-             = Fsim.Engine.detect_dropping ~engine ~jobs c ~faults:chosen
-                 ~observe ~stimuli)
-        [ `Serial; `Parallel; `Event; `Auto ])
+      Fsim.Engine.detect_all ~jobs:1 c ~faults:chosen ~observe stim
+      = Fsim.Engine.detect_all ~jobs c ~faults:chosen ~observe stim
+      && Fsim.Engine.detect_dropping ~jobs:1 c ~faults:chosen ~observe
+           ~stimuli
+         = Fsim.Engine.detect_dropping ~jobs c ~faults:chosen ~observe
+             ~stimuli)
 
 (* The pattern-parallel packed dropping path (lanes = stimulus blocks)
    returns exactly the serial block-scan answer: the lowest detecting
@@ -275,59 +265,6 @@ let prop_parallel_override_gates_agree =
       && ser_drop
          = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli)
 
-(* The [`Auto] plan's serial guard: whatever the workload, no decision's
-   modeled cost may exceed running the same faults serially, and the
-   decisions partition the fault list. Checked on the s38417 suite
-   profile (scaled), whose mix of huge and tiny cones exercises both
-   partitions, and on a tiny workload where the guard must demote the
-   bit-parallel partition to serial. *)
-let test_plan_serial_guard () =
-  let entry = Fst_gen.Suite.find ~scale:0.02 "s38417" in
-  let c = Fst_gen.Gen.generate entry.Fst_gen.Suite.profile in
-  let faults = Fault.collapse c (Fault.universe c) in
-  let cycles = 200 in
-  let check_plan c ~faults ~cycles =
-    let ds = Fsim.Engine.plan c ~faults ~cycles in
-    let serial_of n = n * max 1 (Circuit.gate_count c) * cycles in
-    let seen = Array.make (Array.length faults) 0 in
-    List.iter
-      (fun d ->
-        Array.iter (fun i -> seen.(i) <- seen.(i) + 1) d.Fsim.Engine.indices;
-        Alcotest.(check bool)
-          (Printf.sprintf "units %d <= serial %d" d.Fsim.Engine.units
-             (serial_of (Array.length d.Fsim.Engine.indices)))
-          true
-          (d.Fsim.Engine.units
-           <= serial_of (Array.length d.Fsim.Engine.indices)))
-      ds;
-    Alcotest.(check bool) "decisions partition the faults" true
-      (Array.for_all (fun n -> n = 1) seen);
-    ds
-  in
-  let ds = check_plan c ~faults ~cycles in
-  Alcotest.(check bool) "s38417 profile plans at least one decision" true
-    (List.length ds >= 1);
-  (* A couple of large-cone faults on a small circuit: a 62-lane group
-     would cost more than two serial passes, so the guard must demote
-     that partition to [`Serial]. *)
-  let c2 = Helpers.small_seq_circuit ~gates:60 ~ffs:6 11L in
-  let sizes = Fault.cone_sizes c2 (Fault.universe c2) in
-  let big = ref [] in
-  Array.iteri
-    (fun i s ->
-      if s > max 8 (Circuit.num_nets c2 / 16) && List.length !big < 2 then
-        big := (Fault.universe c2).(i) :: !big)
-    sizes;
-  match !big with
-  | [] -> () (* no large cones in this circuit: nothing to demote *)
-  | faults2 ->
-    let ds2 = check_plan c2 ~faults:(Array.of_list faults2) ~cycles:10 in
-    List.iter
-      (fun d ->
-        Alcotest.(check bool) "tiny workload never picks parallel" true
-          (d.Fsim.Engine.backend <> `Parallel))
-      ds2
-
 let test_detect_dropping_blocks () =
   let c, si, en, ff0, _g, _ff1 = small_chain () in
   let faults =
@@ -361,7 +298,5 @@ let suite =
     Helpers.qcheck prop_jobs_invariant;
     Helpers.qcheck prop_packed_dropping_agrees;
     Helpers.qcheck prop_parallel_override_gates_agree;
-    Alcotest.test_case "auto plan never beats itself with serial" `Quick
-      test_plan_serial_guard;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;
   ]

@@ -8,7 +8,7 @@ module Json = Fst_obs.Json
 (* --- cache-key semantics ------------------------------------------------ *)
 
 (* The semantic fingerprint is the cache's notion of "same run": knobs
-   that change only how the flow executes (engine, parallelism, sinks,
+   that change only how the flow executes (parallelism, sinks,
    budgets, error policy, preflight) must not move it; knobs that change
    what the flow computes must. *)
 let test_fingerprint_invariant () =
@@ -22,14 +22,7 @@ let test_fingerprint_invariant () =
   same "sink excluded" Config.(default |> with_sink Fst_obs.Sink.null);
   (match Config.on_error_of_string "keep-going" with
   | Some p -> same "on_error excluded" Config.(default |> with_on_error p)
-  | None -> Alcotest.fail "on_error_of_string keep-going");
-  List.iter
-    (fun name ->
-      match Config.engine_of_string name with
-      | Some e -> same ("engine excluded: " ^ name)
-          Config.(default |> with_engine e)
-      | None -> Alcotest.fail ("engine_of_string " ^ name))
-    Config.engine_names
+  | None -> Alcotest.fail "on_error_of_string keep-going")
 
 let test_fingerprint_sensitive () =
   let base = Config.fingerprint Config.default in

@@ -127,6 +127,51 @@ let test_fault_mapping_counts () =
   Alcotest.(check int) "stem maps to one site per frame" frames
     (List.length (Unroll.map_fault u stem))
 
+(* [origin] inverts the net mapping for every free input and rejects
+   every other net: gates, constrained inputs, uncontrollable state and
+   capture buffers. *)
+let test_origin_closed_form () =
+  let c = Helpers.small_seq_circuit ~gates:30 ~ffs:4 10L in
+  let pi0 = c.Circuit.inputs.(0) in
+  let controllable ff = ff = c.Circuit.dffs.(0) in
+  let frames = 3 in
+  let u =
+    Unroll.build c ~frames
+      ~constraints:[ (pi0, V3.Zero) ]
+      ~controllable_ff:controllable
+      ~observable_ff:(fun _ -> true)
+  in
+  let free = View.free_inputs u.Unroll.view in
+  Array.iter
+    (fun net ->
+      match Unroll.origin u net with
+      | Unroll.Pi { frame; net = i } ->
+        Alcotest.(check int) "pi maps back" net u.Unroll.net_at.(frame).(i);
+        Alcotest.(check bool) "unconstrained input" true
+          (Circuit.node c i = Circuit.Input && i <> pi0)
+      | Unroll.State i ->
+        Alcotest.(check int) "state maps back" net u.Unroll.net_at.(0).(i);
+        Alcotest.(check bool) "controllable flip-flop" true (controllable i))
+    free;
+  Alcotest.(check int) "free inputs"
+    ((frames * (Array.length c.Circuit.inputs - 1)) + 1)
+    (Array.length free);
+  let rejects what net =
+    match Unroll.origin u net with
+    | _ -> Alcotest.failf "origin accepted %s net %d" what net
+    | exception Invalid_argument _ -> ()
+  in
+  let uc = u.Unroll.view.View.circuit in
+  for net = 0 to Circuit.num_nets uc - 1 do
+    match Circuit.node uc net with
+    | Circuit.Gate _ -> rejects "gate" net
+    | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> ()
+  done;
+  rejects "constrained input" u.Unroll.net_at.(1).(pi0);
+  rejects "uncontrollable state" u.Unroll.net_at.(0).(c.Circuit.dffs.(1));
+  rejects "capture buffer" u.Unroll.capture_of.(c.Circuit.dffs.(0));
+  rejects "out of range" (Circuit.num_nets uc)
+
 let suite =
   [
     Helpers.qcheck prop_unroll_matches_sequential;
@@ -134,4 +179,5 @@ let suite =
     Alcotest.test_case "constrained pi becomes const" `Quick test_constrained_pi_becomes_const;
     Alcotest.test_case "capture buffers observed" `Quick test_capture_buffers_observed;
     Alcotest.test_case "fault mapping counts" `Quick test_fault_mapping_counts;
+    Alcotest.test_case "origin in closed form" `Quick test_origin_closed_form;
   ]
